@@ -19,7 +19,7 @@ SGD with a seeded init and shuffle so runs are bit-reproducible.
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -56,10 +56,6 @@ class TrainConfig:
     #: a float applies that one weight to every tolerance sample.
     fixed_beta: float | None = None
     batch_size: int = 256
-    #: Minibatch gradients may be computed over this many shards and then
-    #: reduced; 1 disables sharding. The reduction order is fixed, so the
-    #: result is deterministic for any shard count.
-    shards: int = 1
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -70,8 +66,6 @@ class TrainConfig:
             raise ValueError("l2 must be non-negative")
         if self.fixed_beta is not None and not 0.0 <= self.fixed_beta <= 1.0:
             raise ValueError("fixed_beta must lie in [0, 1]")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
 
 
 def sigmoid(z):
@@ -164,9 +158,13 @@ class Gradient:
     global_bias: float
 
 
-def _batch_arrays(
+#: Columnar samples: (user index, item index, positive weight, is_positive).
+Encoded = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _encode(
     model: RankingModel, samples: list[LabeledSample], config: TrainConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Encoded:
     """Map samples to (user index, item index, positive weight, is_positive).
 
     A sample with ``is_positive`` contributes ``-w * log(score)``; otherwise
@@ -225,46 +223,49 @@ def _l2_penalty(model: RankingModel, l2: float) -> float:
     )
 
 
-def loss(
-    model: RankingModel, samples: list[LabeledSample], config: TrainConfig
-) -> float:
-    """Mean objective value over the batch plus the L2 penalty."""
-    if not samples:
-        raise ValueError("sample collection must be nonempty")
-    u_idx, i_idx, weight, positive = _batch_arrays(model, samples, config)
+def _loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
+    u_idx, i_idx, weight, positive = encoded
     z = _raw_scores(model, u_idx, i_idx)
     # -log(sigmoid(z)) and -log(1 - sigmoid(z)) without forming sigmoid.
     terms = np.where(
         positive, weight * np.logaddexp(0.0, -z), np.logaddexp(0.0, z)
     )
-    return float(np.mean(terms)) + _l2_penalty(model, config.l2)
+    return float(np.mean(terms)) + _l2_penalty(model, l2)
 
 
-def gradient(
-    model: RankingModel, samples: list[LabeledSample], config: TrainConfig
-) -> Gradient:
-    """Exact gradient of :func:`loss` for every parameter."""
-    if not samples:
-        raise ValueError("sample collection must be nonempty")
-    u_idx, i_idx, weight, positive = _batch_arrays(model, samples, config)
+def _scatter(idx: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``rows`` bins by ``idx``.
+
+    ``np.bincount`` adds each bin's weights in input order starting from
+    zero, exactly as ``np.add.at`` into zeros does, so the sums are
+    bit-equal to it. A 2-D ``values`` is scattered in one call, entry
+    ``(k, j)`` going to bin ``idx[k] * width + j``.
+    """
+    if values.ndim == 1:
+        return np.bincount(idx, values, minlength=rows)
+    width = values.shape[1]
+    bins = (idx[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, values.ravel(), minlength=rows * width)
+    return sums.reshape(rows, width)
+
+
+def _gradient(model: RankingModel, encoded: Encoded, l2: float) -> Gradient:
+    u_idx, i_idx, weight, positive = encoded
     z = _raw_scores(model, u_idx, i_idx)
     y_hat = sigmoid(z)
     # d(term)/dz: w * (y_hat - 1) for positives, y_hat for negatives.
-    dz = np.where(positive, weight * (y_hat - 1.0), y_hat) / len(samples)
+    dz = np.where(positive, weight * (y_hat - 1.0), y_hat) / len(u_idx)
 
-    g_user_factors = np.zeros_like(model.user_factors)
-    g_item_factors = np.zeros_like(model.item_factors)
-    g_user_bias = np.zeros_like(model.user_bias)
-    g_item_bias = np.zeros_like(model.item_bias)
-    np.add.at(g_user_bias, u_idx, dz)
-    np.add.at(g_item_bias, i_idx, dz)
-    np.add.at(g_user_factors, u_idx, dz[:, None] * model.item_factors[i_idx])
-    np.add.at(g_item_factors, i_idx, dz[:, None] * model.user_factors[u_idx])
-    if config.l2:
-        g_user_factors += config.l2 * model.user_factors
-        g_item_factors += config.l2 * model.item_factors
-        g_user_bias += config.l2 * model.user_bias
-        g_item_bias += config.l2 * model.item_bias
+    n_users, n_items = len(model.user_bias), len(model.item_bias)
+    g_user_bias = _scatter(u_idx, dz, n_users)
+    g_item_bias = _scatter(i_idx, dz, n_items)
+    g_user_factors = _scatter(u_idx, dz[:, None] * model.item_factors[i_idx], n_users)
+    g_item_factors = _scatter(i_idx, dz[:, None] * model.user_factors[u_idx], n_items)
+    if l2:
+        g_user_factors += l2 * model.user_factors
+        g_item_factors += l2 * model.item_factors
+        g_user_bias += l2 * model.user_bias
+        g_item_bias += l2 * model.item_bias
     return Gradient(
         user_factors=g_user_factors,
         item_factors=g_item_factors,
@@ -274,36 +275,22 @@ def gradient(
     )
 
 
-def _sharded_gradient(
-    model: RankingModel, batch: list[LabeledSample], config: TrainConfig
+def loss(
+    model: RankingModel, samples: list[LabeledSample], config: TrainConfig
+) -> float:
+    """Mean objective value over the batch plus the L2 penalty."""
+    if not samples:
+        raise ValueError("sample collection must be nonempty")
+    return _loss(model, _encode(model, samples, config), config.l2)
+
+
+def gradient(
+    model: RankingModel, samples: list[LabeledSample], config: TrainConfig
 ) -> Gradient:
-    if config.shards == 1 or len(batch) < 2 * config.shards:
-        return gradient(model, batch, config)
-    # Weighted reduction over shard gradients equals the full-batch gradient
-    # up to summation order; the l2 term must be added once, not per shard.
-    data_config = replace(config, l2=0.0, shards=1)
-    bounds = np.linspace(0, len(batch), config.shards + 1, dtype=int)
-    total = gradient(model, batch[: bounds[1]], data_config)
-    scale = bounds[1] / len(batch)
-    total.user_factors *= scale
-    total.item_factors *= scale
-    total.user_bias *= scale
-    total.item_bias *= scale
-    total.global_bias *= scale
-    for lo, hi in zip(bounds[1:], bounds[2:]):
-        part = gradient(model, batch[lo:hi], data_config)
-        frac = (hi - lo) / len(batch)
-        total.user_factors += frac * part.user_factors
-        total.item_factors += frac * part.item_factors
-        total.user_bias += frac * part.user_bias
-        total.item_bias += frac * part.item_bias
-        total.global_bias += frac * part.global_bias
-    if config.l2:
-        total.user_factors += config.l2 * model.user_factors
-        total.item_factors += config.l2 * model.item_factors
-        total.user_bias += config.l2 * model.user_bias
-        total.item_bias += config.l2 * model.item_bias
-    return total
+    """Exact gradient of :func:`loss` for every parameter."""
+    if not samples:
+        raise ValueError("sample collection must be nonempty")
+    return _gradient(model, _encode(model, samples, config), config.l2)
 
 
 @dataclass
@@ -345,21 +332,22 @@ def train(
                 model.item_bias[new] = init_model.item_bias[old]
         model.global_bias = init_model.global_bias
 
-    history = [loss(model, samples, config)]
+    encoded = _encode(model, samples, config)
+    history = [_loss(model, encoded, config.l2)]
     if not np.isfinite(history[0]):
         raise DivergenceError(0)
     lr = config.learning_rate
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(samples))
         for start in range(0, len(samples), config.batch_size):
-            batch = [samples[k] for k in order[start : start + config.batch_size]]
-            grad = _sharded_gradient(model, batch, config)
+            rows = order[start : start + config.batch_size]
+            grad = _gradient(model, tuple(a[rows] for a in encoded), config.l2)
             model.user_factors -= lr * grad.user_factors
             model.item_factors -= lr * grad.item_factors
             model.user_bias -= lr * grad.user_bias
             model.item_bias -= lr * grad.item_bias
             model.global_bias -= lr * grad.global_bias
-        epoch_loss = loss(model, samples, config)
+        epoch_loss = _loss(model, encoded, config.l2)
         if not np.isfinite(epoch_loss) or not _finite_parameters(model):
             raise DivergenceError(epoch)
         history.append(epoch_loss)
@@ -394,10 +382,14 @@ def augment_with_sampled_negatives(
     for sample in samples:
         seen.setdefault(sample.user_id, set()).add(sample.item_id)
     out = list(samples)
+    pools: dict[str, list[str]] = {}
     for sample in samples:
         if sample.label is not Label.POSITIVE:
             continue
-        pool = [it for it in catalog if it not in seen[sample.user_id]]
+        pool = pools.get(sample.user_id)
+        if pool is None:
+            pool = [it for it in catalog if it not in seen[sample.user_id]]
+            pools[sample.user_id] = pool
         if not pool:
             continue
         take = min(negatives_per_positive, len(pool))

@@ -11,7 +11,14 @@ import numpy as np
 
 from tolrec.events import InteractionEvent, Platform
 from tolrec.labeling import Label, LabeledSample, LabelingConfig, RuleMode
-from tolrec.trainer import Gradient, RankingModel, TrainConfig, loss
+from tolrec.trainer import (
+    Gradient,
+    Objective,
+    RankingModel,
+    TrainConfig,
+    TrainResult,
+    loss,
+)
 
 _ECOM_POSITIVE = {"cart", "favorite", "purchase"}
 _VIDEO_POSITIVE = {"like", "comment", "share", "follow"}
@@ -172,3 +179,112 @@ def max_relative_gradient_error(analytic: Gradient, numeric: Gradient) -> float:
     scale = max(abs(analytic.global_bias), abs(numeric.global_bias), 1e-8)
     worst = max(worst, abs(analytic.global_bias - numeric.global_bias) / scale)
     return worst
+
+
+def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_arrays(model, batch, config):
+    """Per-batch encoding: one Python pass over the sample objects."""
+    u_idx = np.array([model.users[s.user_id] for s in batch], dtype=np.intp)
+    i_idx = np.array([model.items[s.item_id] for s in batch], dtype=np.intp)
+    weight = np.ones(len(batch), dtype=np.float64)
+    positive = np.empty(len(batch), dtype=bool)
+    for k, sample in enumerate(batch):
+        if sample.label is Label.TOLERANCE:
+            positive[k] = config.objective is not Objective.TOLERANCE_AS_NEGATIVE
+            if config.objective is Objective.TOLERANCE_AS_WEAK_POSITIVE:
+                weight[k] = (
+                    config.fixed_beta if config.fixed_beta is not None else sample.beta
+                )
+        else:
+            positive[k] = sample.label is Label.POSITIVE
+    z = (
+        model.global_bias
+        + model.user_bias[u_idx]
+        + model.item_bias[i_idx]
+        + np.einsum("ij,ij->i", model.user_factors[u_idx], model.item_factors[i_idx])
+    )
+    return u_idx, i_idx, weight, positive, z
+
+
+def _reference_loss(model, batch, config) -> float:
+    _, _, weight, positive, z = _reference_arrays(model, batch, config)
+    terms = np.where(positive, weight * np.logaddexp(0.0, -z), np.logaddexp(0.0, z))
+    value = float(np.mean(terms))
+    if config.l2 == 0.0:
+        return value
+    return value + 0.5 * config.l2 * (
+        float(np.sum(model.user_factors**2))
+        + float(np.sum(model.item_factors**2))
+        + float(np.sum(model.user_bias**2))
+        + float(np.sum(model.item_bias**2))
+    )
+
+
+def _reference_step(model, batch, config) -> None:
+    """One SGD step with the gradient scattered by ``np.add.at``."""
+    u_idx, i_idx, weight, positive, z = _reference_arrays(model, batch, config)
+    y_hat = _reference_sigmoid(z)
+    dz = np.where(positive, weight * (y_hat - 1.0), y_hat) / len(batch)
+    g_user_factors = np.zeros_like(model.user_factors)
+    g_item_factors = np.zeros_like(model.item_factors)
+    g_user_bias = np.zeros_like(model.user_bias)
+    g_item_bias = np.zeros_like(model.item_bias)
+    np.add.at(g_user_bias, u_idx, dz)
+    np.add.at(g_item_bias, i_idx, dz)
+    np.add.at(g_user_factors, u_idx, dz[:, None] * model.item_factors[i_idx])
+    np.add.at(g_item_factors, i_idx, dz[:, None] * model.user_factors[u_idx])
+    if config.l2:
+        g_user_factors += config.l2 * model.user_factors
+        g_item_factors += config.l2 * model.item_factors
+        g_user_bias += config.l2 * model.user_bias
+        g_item_bias += config.l2 * model.item_bias
+    lr = config.learning_rate
+    model.user_factors -= lr * g_user_factors
+    model.item_factors -= lr * g_item_factors
+    model.user_bias -= lr * g_user_bias
+    model.item_bias -= lr * g_item_bias
+    model.global_bias -= lr * float(np.sum(dz))
+
+
+def reference_train(
+    samples: list[LabeledSample],
+    config: TrainConfig,
+    init_model: RankingModel | None = None,
+) -> TrainResult:
+    """Minibatch SGD as a list of sample objects per step: every batch and
+    every epoch loss is encoded afresh, and gradients are scattered with
+    ``np.add.at``. Consumes the seeded generator in the same order as
+    :func:`tolrec.trainer.train`, so the two must agree bit for bit."""
+    rng = np.random.default_rng(config.seed)
+    model = RankingModel.initialize(
+        [s.user_id for s in samples],
+        [s.item_id for s in samples],
+        config.dimension,
+        rng,
+    )
+    if init_model is not None:
+        for user_id, old in init_model.users.items():
+            if user_id in model.users:
+                model.user_factors[model.users[user_id]] = init_model.user_factors[old]
+                model.user_bias[model.users[user_id]] = init_model.user_bias[old]
+        for item_id, old in init_model.items.items():
+            if item_id in model.items:
+                model.item_factors[model.items[item_id]] = init_model.item_factors[old]
+                model.item_bias[model.items[item_id]] = init_model.item_bias[old]
+        model.global_bias = init_model.global_bias
+    history = [_reference_loss(model, samples, config)]
+    for _ in range(config.epochs):
+        order = rng.permutation(len(samples))
+        for start in range(0, len(samples), config.batch_size):
+            batch = [samples[k] for k in order[start : start + config.batch_size]]
+            _reference_step(model, batch, config)
+        history.append(_reference_loss(model, samples, config))
+    return TrainResult(model=model, history=history)

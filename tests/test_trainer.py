@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tolrec.trainer import (
 from oracles import (
     finite_difference_gradient,
     max_relative_gradient_error,
+    reference_train,
     relabel_tolerance_as_negative,
 )
 
@@ -270,21 +272,33 @@ class TestTrain:
         warmed = train(batch, TrainConfig(epochs=1, seed=7), init_model=first.model)
         assert warmed.history[0] == pytest.approx(first.history[-1], abs=1e-9)
 
-    def test_sharded_gradient_matches_plain(self, rng):
-        batch = random_batch(rng, n_samples=64)
-        model = random_model(
-            [s.user_id for s in batch], [s.item_id for s in batch], 3, rng
-        )
-        config = TrainConfig(l2=0.01)
-        plain = gradient(model, batch, config)
-        from tolrec.trainer import _sharded_gradient
-
-        sharded = _sharded_gradient(
-            model, batch, TrainConfig(l2=0.01, shards=4)
-        )
-        np.testing.assert_allclose(sharded.user_factors, plain.user_factors, atol=1e-12)
-        np.testing.assert_allclose(sharded.item_bias, plain.item_bias, atol=1e-12)
-        assert sharded.global_bias == pytest.approx(plain.global_bias, abs=1e-12)
+    def test_matches_reference_loop_bit_for_bit(self, rng):
+        """Training on arrays encoded once, with bincount scatters, equals
+        the per-batch, ``np.add.at`` reference loop bit for bit."""
+        batch = random_batch(rng, n_users=9, n_items=15, n_samples=101)
+        head = batch[:30]
+        warm = train(head, TrainConfig(epochs=2, seed=5, batch_size=8)).model
+        assert {s.user_id for s in batch} - set(warm.users)
+        assert {s.item_id for s in batch} - set(warm.items)
+        weak = Objective.TOLERANCE_AS_WEAK_POSITIVE
+        cases = [
+            (TrainConfig(objective=objective, l2=0.01), None)
+            for objective in Objective
+        ] + [
+            (TrainConfig(objective=weak, fixed_beta=0.4), None),
+            (TrainConfig(objective=Objective.TOLERANCE_AS_NEGATIVE), warm),
+            (TrainConfig(objective=weak, l2=0.05), warm),
+        ]
+        for config, init_model in cases:
+            config = replace(config, epochs=4, seed=11, batch_size=16)
+            got = train(batch, config, init_model=init_model)
+            want = reference_train(batch, config, init_model=init_model)
+            for attr in ("user_factors", "item_factors", "user_bias", "item_bias"):
+                assert np.array_equal(
+                    getattr(got.model, attr), getattr(want.model, attr)
+                ), (config, attr)
+            assert got.model.global_bias == want.model.global_bias, config
+            assert got.history == want.history, config
 
 
 class TestRank:
