@@ -20,10 +20,13 @@ seeded at 0.5 before any data.
 """
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 import json
+
+import numpy as np
 
 from .events import InteractionEvent, Platform
 
@@ -114,7 +117,6 @@ class BucketStats:
 class UserProfile:
     user_id: str
     buckets: dict[int, BucketStats] = field(default_factory=dict)
-    click_count: int = 0
 
     def bucket_stats(self, bucket: int) -> tuple[int, float]:
         stats = self.buckets.get(bucket)
@@ -162,22 +164,17 @@ def update_profile(
     """Fold one event into the user's running statistics.
 
     Clicked video events update the matching duration bucket's running
-    mean with the capped watch ratio; clicked e-commerce events bump the
-    click counter; non-engagements change nothing.
+    mean with the capped watch ratio; nothing else changes the profile.
     """
     if event.user_id != profile.user_id:
         raise ValueError(
             f"event user {event.user_id!r} does not match profile "
             f"{profile.user_id!r}"
         )
-    if not event.clicked:
-        return profile
-    if event.platform is Platform.VIDEO:
+    if event.clicked and event.platform is Platform.VIDEO:
         bucket = config.bucket_index(event.item_duration)
         stats = profile.buckets.setdefault(bucket, BucketStats())
         stats.push(watch_ratio(event, config.ratio_cap))
-    else:
-        profile.click_count += 1
     return profile
 
 
@@ -236,24 +233,6 @@ def _sample(
     )
 
 
-class _GlobalMean:
-    """Running mean of every capped watch ratio seen so far."""
-
-    __slots__ = ("count", "mean")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-
-    def push(self, ratio: float) -> None:
-        self.count += 1
-        self.mean += (ratio - self.mean) / self.count
-
-    @property
-    def value(self) -> float:
-        return self.mean if self.count else GLOBAL_MEAN_SEED
-
-
 class CausalLabeler:
     """Streaming labeler whose thresholds see only strictly earlier events.
 
@@ -266,12 +245,21 @@ class CausalLabeler:
     def __init__(self, config: LabelingConfig):
         self.config = config
         self.profiles: dict[str, UserProfile] = {}
-        self._global = _GlobalMean()
+        self._global = BucketStats()
         self._max_timestamp: int | None = None
 
     @property
     def global_mean(self) -> float:
-        return self._global.value
+        """Running mean of every capped watch ratio absorbed so far."""
+        if self._global.count:
+            return self._global.mean
+        return GLOBAL_MEAN_SEED
+
+    def _absorb(self, event: InteractionEvent) -> None:
+        profile = self.profiles.setdefault(event.user_id, UserProfile(event.user_id))
+        update_profile(profile, event, self.config)
+        if event.platform is Platform.VIDEO and event.clicked:
+            self._global.push(watch_ratio(event, self.config.ratio_cap))
 
     def extend(self, events: list[InteractionEvent]) -> list[LabeledSample]:
         """Label a (user, timestamp)-sorted batch and absorb it into state."""
@@ -293,22 +281,15 @@ class CausalLabeler:
             while stop < len(order) and events[order[stop]].timestamp == ts:
                 stop += 1
             group = order[start:stop]
+            global_mean = self.global_mean
             for k in group:
                 event = events[k]
                 profile = self.profiles.get(event.user_id) or UserProfile(
                     event.user_id
                 )
-                samples[k] = label_event(
-                    event, profile, self._global.value, self.config
-                )
+                samples[k] = label_event(event, profile, global_mean, self.config)
             for k in group:
-                event = events[k]
-                profile = self.profiles.setdefault(
-                    event.user_id, UserProfile(event.user_id)
-                )
-                update_profile(profile, event, self.config)
-                if event.platform is Platform.VIDEO and event.clicked:
-                    self._global.push(watch_ratio(event, self.config.ratio_cap))
+                self._absorb(events[k])
             start = stop
 
         if events:
@@ -349,70 +330,89 @@ def _check_sorted(events: list[InteractionEvent]) -> None:
             raise ValueError("events must be sorted by (user_id, timestamp)")
 
 
-def _mean_excluding(ratios: list[float], skip: int | None) -> tuple[int, float]:
-    """Running mean over ``ratios`` with position ``skip`` left out."""
-    count = 0
-    mean = 0.0
+def _excluded_means(ratios: list[float], skips: Sequence[int]) -> list[float]:
+    """For each ascending position in ``skips``, the running mean of
+    ``ratios`` with that position left out (0.0 when nothing is left).
+
+    Bit-identical to pushing the remaining ratios one at a time: the
+    trajectory that skips ``j`` starts from the prefix mean before ``j``,
+    and at every later index ``i`` each active trajectory takes the same
+    ratio with the same divisor ``i``, so all of them advance together as
+    one array slice. O(len(ratios)) Python steps plus
+    O(len(ratios) * len(skips)) vector flops.
+    """
+    means = np.zeros(len(skips))
+    prefix = 0.0
+    active = 0
     for index, ratio in enumerate(ratios):
-        if index == skip:
-            continue
-        count += 1
-        mean += (ratio - mean) / count
-    return count, mean
+        if active:
+            head = means[:active]
+            head += (ratio - head) / index
+        if active < len(skips) and skips[active] == index:
+            means[active] = prefix
+            active += 1
+        prefix += (ratio - prefix) / (index + 1)
+    return means.tolist()
 
 
 def _label_leave_one_out(
     events: list[InteractionEvent], config: LabelingConfig
 ) -> LabelingResult:
-    # Excluded-self means are recomputed directly rather than downdated:
-    # downdating drifts at the last ulp and breaks exact-tie labels for
-    # repeated ratios. Quadratic per (user, bucket) and per global-fallback
-    # event; fine at the log sizes this tool targets.
-    # Positions of each engaged video event within its (user, bucket) ratio
-    # list and within the global time-ordered ratio list.
-    per_bucket: dict[tuple[str, int], list[float]] = {}
-    bucket_position: dict[int, int] = {}
-    time_order = sorted(range(len(events)), key=lambda k: (events[k].timestamp, k))
-    global_ratios: list[float] = []
-    global_position: dict[int, int] = {}
-    for k in time_order:
-        event = events[k]
-        if event.platform is Platform.VIDEO and event.clicked:
-            global_position[k] = len(global_ratios)
-            global_ratios.append(watch_ratio(event, config.ratio_cap))
-    for k, event in enumerate(events):
-        if event.platform is Platform.VIDEO and event.clicked:
-            key = (event.user_id, config.bucket_index(event.item_duration))
-            ratios = per_bucket.setdefault(key, [])
-            bucket_position[k] = len(ratios)
-            ratios.append(watch_ratio(event, config.ratio_cap))
+    # Each engaged video event is labeled against its (user, bucket) mean
+    # and, when that history is short or beta uses the population baseline,
+    # the time-ordered global mean, both with the event itself left out.
+    # Means are exact running means, not downdated sums: downdating drifts
+    # at the last ulp and breaks exact-tie labels for repeated ratios.
+    # Cost: O(N) Python steps, plus vector flops of O(L²) per (user, bucket)
+    # list of length L and O(N · fallbacks) on the global list.
+    engaged = [
+        k
+        for k, event in enumerate(events)
+        if event.platform is Platform.VIDEO and event.clicked
+    ]
+    # Per-event state sits in flat lists by event position, which take about
+    # a third of the memory of dicts. Input order is (user, timestamp)
+    # order, so each (user, bucket) list of positions is in time order.
+    ratio = [0.0] * len(events)
+    bucket = [0] * len(events)
+    per_bucket: dict[tuple[str, int], list[int]] = {}
+    for k in engaged:
+        ratio[k] = watch_ratio(events[k], config.ratio_cap)
+        bucket[k] = config.bucket_index(events[k].item_duration)
+        per_bucket.setdefault((events[k].user_id, bucket[k]), []).append(k)
+    count = [0] * len(events)
+    bucket_mean = [0.0] * len(events)
+    for members in per_bucket.values():
+        means = _excluded_means([ratio[k] for k in members], range(len(members)))
+        for k, mean in zip(members, means):
+            count[k] = len(members) - 1
+            bucket_mean[k] = mean
+
+    time_order = sorted(engaged, key=lambda k: (events[k].timestamp, k))
+    population = config.beta_baseline == "population"
+    skips = [
+        i
+        for i, k in enumerate(time_order)
+        if population or count[k] < config.min_history
+    ]
+    global_mean = [GLOBAL_MEAN_SEED] * len(events)
+    if len(time_order) > 1:
+        means = _excluded_means([ratio[k] for k in time_order], skips)
+        for i, mean in zip(skips, means):
+            global_mean[time_order[i]] = mean
 
     samples: list[LabeledSample] = []
     for k, event in enumerate(events):
         profile = UserProfile(event.user_id)
-        global_mean = GLOBAL_MEAN_SEED
-        if event.platform is Platform.VIDEO and event.clicked:
-            bucket = config.bucket_index(event.item_duration)
-            ratios = per_bucket[(event.user_id, bucket)]
-            count, mean = _mean_excluding(ratios, bucket_position[k])
-            if count:
-                profile.buckets[bucket] = BucketStats(count=count, mean=mean)
-            if count < config.min_history or config.beta_baseline == "population":
-                g_count, g_mean = _mean_excluding(global_ratios, global_position[k])
-                if g_count:
-                    global_mean = g_mean
-        samples.append(label_event(event, profile, global_mean, config))
+        if count[k]:
+            profile.buckets[bucket[k]] = BucketStats(count[k], bucket_mean[k])
+        samples.append(label_event(event, profile, global_mean[k], config))
 
-    # Full-history profiles and global mean, identical to the causal end state.
-    profiles: dict[str, UserProfile] = {}
-    final_global = _GlobalMean()
-    for k in time_order:
-        event = events[k]
-        profile = profiles.setdefault(event.user_id, UserProfile(event.user_id))
-        update_profile(profile, event, config)
-        if event.platform is Platform.VIDEO and event.clicked:
-            final_global.push(watch_ratio(event, config.ratio_cap))
-    return LabelingResult(samples, profiles, final_global.value)
+    # Full-history profiles and global mean: the causal end state.
+    final = CausalLabeler(config)
+    for k in sorted(range(len(events)), key=lambda k: (events[k].timestamp, k)):
+        final._absorb(events[k])
+    return LabelingResult(samples, final.profiles, final.global_mean)
 
 
 # ---------------------------------------------------------------------------

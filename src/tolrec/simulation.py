@@ -449,21 +449,16 @@ DAILY_REPORT_HEADER = [
 ]
 
 
-def write_daily_report(path, report: SimReport, seed: int | None = None) -> None:
+def write_daily_report(path, report: SimReport) -> None:
     """Daily CSV: `day,arm,active_users,retention_delta,tolerance_rate,
-    dwell_delta`; an optional leading seed column for multi-seed batches."""
-    header = DAILY_REPORT_HEADER
-    rows = report.table_rows()
+    dwell_delta`."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        if seed is None:
-            writer.writerow(header)
-            writer.writerows(rows)
-        else:
-            writer.writerow(["seed"] + header)
-            writer.writerows([[str(seed)] + row for row in rows])
+        writer.writerow(DAILY_REPORT_HEADER)
+        writer.writerows(report.table_rows())
 
 
 def append_daily_report(handle, report: SimReport, seed: int) -> None:
+    """Rows of a multi-seed daily CSV, with a leading seed column."""
     writer = csv.writer(handle)
     writer.writerows([[str(seed)] + row for row in report.table_rows()])

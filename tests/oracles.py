@@ -10,7 +10,19 @@ from bisect import bisect_left
 import numpy as np
 
 from tolrec.events import InteractionEvent, Platform
-from tolrec.labeling import Label, LabeledSample, LabelingConfig, RuleMode
+from tolrec.labeling import (
+    GLOBAL_MEAN_SEED,
+    BucketStats,
+    Label,
+    LabeledSample,
+    LabelingConfig,
+    LabelingResult,
+    RuleMode,
+    UserProfile,
+    label_event,
+    update_profile,
+    watch_ratio,
+)
 from tolrec.trainer import (
     Gradient,
     Objective,
@@ -109,6 +121,73 @@ def brute_force_causal_labels(
             )
         )
     return samples
+
+
+def _mean_excluding(ratios: list[float], skip: int | None) -> tuple[int, float]:
+    """Running mean over ``ratios`` with position ``skip`` left out."""
+    count = 0
+    mean = 0.0
+    for index, ratio in enumerate(ratios):
+        if index == skip:
+            continue
+        count += 1
+        mean += (ratio - mean) / count
+    return count, mean
+
+
+def reference_label_leave_one_out(
+    events: list[InteractionEvent], config: LabelingConfig
+) -> LabelingResult:
+    """Leave-one-out labels with every excluded-self mean recomputed from
+    scratch, one rescan per event, and full-history profiles from a final
+    pass in time order. The label rule itself is the package's
+    :func:`label_event`; what this checks is the means fed to it."""
+    per_bucket: dict[tuple[str, int], list[float]] = {}
+    bucket_position: dict[int, int] = {}
+    time_order = sorted(range(len(events)), key=lambda k: (events[k].timestamp, k))
+    global_ratios: list[float] = []
+    global_position: dict[int, int] = {}
+    for k in time_order:
+        event = events[k]
+        if event.platform is Platform.VIDEO and event.clicked:
+            global_position[k] = len(global_ratios)
+            global_ratios.append(watch_ratio(event, config.ratio_cap))
+    for k, event in enumerate(events):
+        if event.platform is Platform.VIDEO and event.clicked:
+            key = (event.user_id, config.bucket_index(event.item_duration))
+            ratios = per_bucket.setdefault(key, [])
+            bucket_position[k] = len(ratios)
+            ratios.append(watch_ratio(event, config.ratio_cap))
+
+    samples: list[LabeledSample] = []
+    for k, event in enumerate(events):
+        profile = UserProfile(event.user_id)
+        global_mean = GLOBAL_MEAN_SEED
+        if event.platform is Platform.VIDEO and event.clicked:
+            bucket = config.bucket_index(event.item_duration)
+            ratios = per_bucket[(event.user_id, bucket)]
+            count, mean = _mean_excluding(ratios, bucket_position[k])
+            if count:
+                profile.buckets[bucket] = BucketStats(count=count, mean=mean)
+            if count < config.min_history or config.beta_baseline == "population":
+                g_count, g_mean = _mean_excluding(global_ratios, global_position[k])
+                if g_count:
+                    global_mean = g_mean
+        samples.append(label_event(event, profile, global_mean, config))
+
+    profiles: dict[str, UserProfile] = {}
+    final_count, final_mean = 0, 0.0
+    for k in time_order:
+        event = events[k]
+        profile = profiles.setdefault(event.user_id, UserProfile(event.user_id))
+        update_profile(profile, event, config)
+        if event.platform is Platform.VIDEO and event.clicked:
+            final_count += 1
+            ratio = watch_ratio(event, config.ratio_cap)
+            final_mean += (ratio - final_mean) / final_count
+    return LabelingResult(
+        samples, profiles, final_mean if final_count else GLOBAL_MEAN_SEED
+    )
 
 
 def finite_difference_gradient(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tolrec.events import InteractionEvent, Platform
+from tolrec.fixtures import generate_fixture_events
 from tolrec.labeling import (
     BucketStats,
     CausalLabeler,
@@ -21,7 +22,7 @@ from tolrec.labeling import (
 )
 
 from conftest import random_event_log
-from oracles import brute_force_causal_labels
+from oracles import brute_force_causal_labels, reference_label_leave_one_out
 
 
 def video_event(
@@ -93,12 +94,11 @@ class TestUpdateProfile:
         assert count == 2
         assert mean == pytest.approx(0.6, abs=1e-15)
 
-    def test_ecommerce_click_counts(self):
+    def test_ecommerce_leaves_stats(self):
         config = LabelingConfig()
         profile = UserProfile("u1")
         update_profile(profile, ecom_event(clicked=True), config)
         update_profile(profile, ecom_event(clicked=False, ts=1), config)
-        assert profile.click_count == 1
         assert profile.buckets == {}
 
     def test_unclicked_video_leaves_stats(self):
@@ -390,6 +390,47 @@ class TestLabelLog:
         personal = run("user")
         for sample in personal:
             assert sample.beta == pytest.approx(0.2 / (1 / 3))
+
+    def test_loo_matches_reference_bit_for_bit(self):
+        """Leave-one-out labels, betas, profiles and global mean equal the
+        per-event rescan exactly, on sparse and dense logs and edge cases."""
+
+        def by_user(events):
+            return sorted(events, key=lambda e: (e.user_id, e.timestamp))
+
+        logs = {
+            "sparse": by_user(generate_fixture_events(1200, n_users=600, seed=3)),
+            "dense": by_user(generate_fixture_events(1200, n_users=20, seed=4)),
+            "only-engaged": [
+                ecom_event(ts=0),
+                video_event(ts=1, clicked=False, watch=0.0),
+                video_event(ts=2, watch=3.0),
+                ecom_event(ts=3, clicked=False),
+            ],
+            "single-and-ties": by_user(
+                [video_event(user="a", ts=0, watch=9.0, duration=500.0)]
+                + [
+                    video_event(user=u, item=f"{u}{t}", ts=t % 3, watch=w)
+                    for u in "bcd"
+                    for t, w in enumerate([3.0, 3.0, 7.0, 3.0, 3.0, 12.0, 3.0])
+                ]
+            ),
+        }
+        configs = [
+            LabelingConfig(),
+            LabelingConfig(beta_baseline="population"),
+            LabelingConfig(min_history=1),
+            LabelingConfig(min_history=1, beta_baseline="population"),
+            LabelingConfig(duration_bucket_edges=(), rule_mode=RuleMode.RATIO_ONLY),
+        ]
+        for name, events in logs.items():
+            for config in configs:
+                case = (name, config)
+                expected = reference_label_leave_one_out(events, config)
+                got = label_log(events, config, LabelingMode.LEAVE_ONE_OUT)
+                assert got.samples == expected.samples, case
+                assert got.global_mean == expected.global_mean, case
+                assert got.profiles == expected.profiles, case
 
     def test_extend_rejects_time_overlap(self):
         labeler = CausalLabeler(LabelingConfig())
