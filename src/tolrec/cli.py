@@ -2,7 +2,10 @@
 
 Every command accepts ``--config FILE`` (a JSON object whose keys mirror
 the long flag names with dashes replaced by underscores); explicit flags
-override the file, which overrides built-in defaults. Each output file
+override the file, which overrides built-in defaults. Config-file values
+are checked like flags (type, choices, ``null`` only where the default is
+``null``) but not converted, and a failed check names the key. Each
+option is declared once, in ``OPTIONS``. Each output file
 gets a ``<name>.manifest.json`` sidecar recording the resolved
 configuration, input digests, tool version, and seed, so identical
 manifests imply identical outputs.
@@ -32,7 +35,6 @@ from .simulation import (
     DAILY_REPORT_HEADER,
     ReturnCurve,
     SimConfig,
-    append_daily_report,
     simulate_experiment,
     write_daily_report,
 )
@@ -104,63 +106,99 @@ def _write_manifest(
         handle.write("\n")
 
 
-# Per-command defaults; CLI flags override the config file, which overrides
-# these. Everything lands in the manifest fully materialized.
-DEFAULTS: dict[str, dict] = {
-    "label": {
-        "mode": "causal",
-        "rule": "ratio-or-action",
-        "buckets": "60,300",
-        "min_history": 5,
-        "ratio_cap": 1.0,
-        "beta_baseline": "user",
-        "profiles_out": None,
-        "threads": 1,
+def _choices(enum) -> list[str]:
+    return [member.value for member in enum]
+
+
+_OBJECTIVES = _choices(Objective)
+_OUT = {"out": (..., str, "primary output file")}
+_BETA = ("from-samples", str, "'from-samples' or 'fixed:<v>'")
+_RULE = ("ratio-or-action", _choices(RuleMode))
+
+#: Every option of every command: ``name -> (default, kind[, help])``.
+#: ``kind`` is ``int``, ``float``, ``str``, ``bool`` (a bare switch) or a
+#: list of choices; a default of ``...`` marks a required flag. The flag is
+#: ``--name`` with dashes for underscores unless ``_FLAG_NAMES`` says
+#: otherwise. CLI flags override the config file, which overrides these
+#: defaults; everything lands in the manifest fully materialized.
+OPTIONS: dict[str, dict[str, tuple]] = {
+    "label": _OUT | {
+        "events": (..., str, "event JSONL file"),
+        "mode": ("causal", _choices(LabelingMode)),
+        "rule": _RULE,
+        "buckets": ("60,300", str, "duration bucket edges, e.g. 60,300"),
+        "min_history": (5, int),
+        "ratio_cap": (1.0, float),
+        "beta_baseline": ("user", ["user", "population"]),
+        "profiles_out": (None, str, "profile snapshot path"),
+        "threads": (1, int),
     },
-    "train": {
-        "objective": "standard",
-        "beta": "from-samples",
-        "lr": 0.1,
-        "epochs": 20,
-        "dim": 8,
-        "l2": 0.0,
-        "batch_size": 256,
-        "seed": 0,
-        "neg_sample": 0,
-        "history_out": None,
+    "train": _OUT | {
+        "samples": (..., str, "labeled sample JSONL file"),
+        "objective": ("standard", _OBJECTIVES),
+        "beta": _BETA,
+        "lr": (0.1, float),
+        "epochs": (20, int),
+        "dim": (8, int),
+        "l2": (0.0, float),
+        "batch_size": (256, int),
+        "seed": (0, int),
+        "neg_sample": (
+            0,
+            int,
+            "sample this many negatives per positive (logs without impressions)",
+        ),
+        "history_out": (None, str, "loss history CSV path"),
     },
-    "analyze": {
-        "platform": "video",
-        "buckets": "",
-        "ratio_cap": 1.0,
-        "min_watch_seconds": 0.0,
-        "plot_out": None,
-        "threads": 1,
+    "analyze": _OUT | {
+        "events": (..., str),
+        "ref": (..., str, "reference window, ISO..ISO"),
+        "inv": (..., str, "investigation window, ISO..ISO"),
+        "platform": ("video", _choices(Platform)),
+        "buckets": ("", str, "tolerance-stat bucket edges"),
+        "ratio_cap": (1.0, float),
+        "min_watch_seconds": (0.0, float),
+        "plot_out": (None, str),
+        "threads": (1, int),
     },
-    "simulate": {
-        "seeds": 1,
-        "seed": 0,
-        "obj_a": "standard",
-        "obj_b": "tol-weak",
-        "beta": "from-samples",
-        "days": 7,
-        "population": 100,
-        "catalog": 200,
-        "slate": 10,
-        "pool": 40,
-        "dim": 8,
-        "temperature": 1.0,
-        "rho": 0.3,
-        "trust_decay": 0.05,
-        "trust_recovery": 0.005,
-        "lr": 0.3,
-        "epochs": 30,
-        "l2": 1e-4,
-        "batch_size": 256,
-        "warm_start": False,
-        "rule": "ratio-or-action",
+    "simulate": _OUT | {
+        "seeds": (1, int, "number of paired seeds"),
+        "seed": (0, int, "base seed"),
+        "obj_a": ("standard", _OBJECTIVES),
+        "obj_b": ("tol-weak", _OBJECTIVES),
+        "beta": _BETA,
+        "days": (7, int),
+        "population": (100, int),
+        "catalog": (200, int),
+        "slate": (10, int),
+        "pool": (40, int),
+        "dim": (8, int),
+        "temperature": (1.0, float),
+        "rho": (0.3, float, "surface/content correlation"),
+        "trust_decay": (0.05, float),
+        "trust_recovery": (0.005, float),
+        "lr": (0.3, float),
+        "epochs": (30, int),
+        "l2": (1e-4, float),
+        "batch_size": (256, int),
+        "warm_start": (False, bool),
+        "rule": _RULE,
     },
-    "report": {"analyze": None, "simulate": None, "train_history": None},
+    "report": _OUT | {
+        "analyze": (None, str, "cohort report CSV"),
+        "simulate": (None, str, "simulation daily CSV"),
+        "train_history": (None, str, "loss history CSV"),
+    },
+}
+
+_FLAG_NAMES = {"obj_a": "--objA", "obj_b": "--objB"}
+
+_COMMAND_HELP = {
+    "label": "label an event log",
+    "train": "train a ranking model on labeled samples",
+    "analyze": "reference/investigation cohort analysis",
+    "simulate": "paired two-arm retention simulation",
+    "report": "merge pipeline outputs into one summary",
 }
 
 
@@ -172,110 +210,85 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", required=True, help="primary output file")
-
-    p = sub.add_parser("label", help="label an event log")
-    add_common(p)
-    p.add_argument("--events", required=True, help="event JSONL file")
-    p.add_argument("--mode", choices=["causal", "loo"])
-    p.add_argument("--rule", choices=["ratio-or-action", "ratio-only"])
-    p.add_argument("--buckets", help="duration bucket edges, e.g. 60,300")
-    p.add_argument("--min-history", type=int)
-    p.add_argument("--ratio-cap", type=float)
-    p.add_argument("--beta-baseline", choices=["user", "population"])
-    p.add_argument("--profiles-out", help="profile snapshot path")
-    p.add_argument("--threads", type=int)
-
-    p = sub.add_parser("train", help="train a ranking model on labeled samples")
-    add_common(p)
-    p.add_argument("--samples", required=True, help="labeled sample JSONL file")
-    p.add_argument("--objective", choices=[o.value for o in Objective])
-    p.add_argument("--beta", help="'from-samples' or 'fixed:<v>'")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--neg-sample",
-        type=int,
-        help="sample this many negatives per positive (logs without impressions)",
-    )
-    p.add_argument("--history-out", help="loss history CSV path")
-
-    p = sub.add_parser("analyze", help="reference/investigation cohort analysis")
-    add_common(p)
-    p.add_argument("--events", required=True)
-    p.add_argument("--ref", required=True, help="reference window, ISO..ISO")
-    p.add_argument("--inv", required=True, help="investigation window, ISO..ISO")
-    p.add_argument("--platform", choices=[pf.value for pf in Platform])
-    p.add_argument("--buckets", help="tolerance-stat bucket edges")
-    p.add_argument("--ratio-cap", type=float)
-    p.add_argument("--min-watch-seconds", type=float)
-    p.add_argument("--plot-out")
-    p.add_argument("--threads", type=int)
-
-    p = sub.add_parser("simulate", help="paired two-arm retention simulation")
-    add_common(p)
-    p.add_argument("--seeds", type=int, help="number of paired seeds")
-    p.add_argument("--seed", type=int, help="base seed")
-    p.add_argument("--objA", dest="obj_a", choices=[o.value for o in Objective])
-    p.add_argument("--objB", dest="obj_b", choices=[o.value for o in Objective])
-    p.add_argument("--beta", help="'from-samples' or 'fixed:<v>'")
-    p.add_argument("--days", type=int)
-    p.add_argument("--population", type=int)
-    p.add_argument("--catalog", type=int)
-    p.add_argument("--slate", type=int)
-    p.add_argument("--pool", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--rho", type=float, help="surface/content correlation")
-    p.add_argument("--trust-decay", type=float)
-    p.add_argument("--trust-recovery", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--warm-start", action="store_const", const=True, default=None)
-    p.add_argument("--rule", choices=["ratio-or-action", "ratio-only"])
-
-    p = sub.add_parser("report", help="merge pipeline outputs into one summary")
-    add_common(p)
-    p.add_argument("--analyze", help="cohort report CSV")
-    p.add_argument("--simulate", help="simulation daily CSV")
-    p.add_argument("--train-history", help="loss history CSV")
-
+        for name, (default, kind, *help_text) in options.items():
+            if kind is bool:
+                how = {"action": "store_const", "const": True}
+            elif isinstance(kind, list):
+                how = {"choices": kind}
+            else:
+                how = {"type": kind}
+            p.add_argument(
+                _FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
+                dest=name,
+                required=default is ...,
+                help=help_text[0] if help_text else None,
+                **how,
+            )
     return parser
 
 
+def _check_config_value(name: str, value, default, kind) -> None:
+    """Reject a config-file value that the option's flag would not accept.
+    The value is checked, not converted, so a valid file resolves as it
+    always did."""
+    if value is None:
+        valid = default is None
+    elif isinstance(kind, list):
+        valid = value in kind
+    else:
+        # JSON true/false load as bools, which Python counts as ints; only
+        # a switch takes one.
+        types = (int, float) if kind is float else kind
+        valid = isinstance(value, types) and isinstance(value, bool) == (kind is bool)
+    if not valid:
+        expected = f"one of {kind}" if isinstance(kind, list) else kind.__name__
+        raise ValueError(f"config file: {name} must be {expected}, got {value!r}")
+
+
 def _resolve(args: argparse.Namespace) -> dict:
-    resolved = dict(DEFAULTS[args.command])
+    options = OPTIONS[args.command]
+    resolved = {name: entry[0] for name, entry in options.items()}
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
             file_config = json.load(handle)
-        unknown = set(file_config) - set(vars(args))
+        if not isinstance(file_config, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = set(file_config) - set(options)
         if unknown:
             raise ValueError(f"config file has unknown keys {sorted(unknown)}")
+        for name, value in file_config.items():
+            _check_config_value(name, value, *options[name][:2])
         resolved.update(file_config)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
+    for name in options:
+        value = getattr(args, name)
         if value is not None:
-            resolved[key] = value
+            resolved[name] = value
     return resolved
 
 
 def _labeling_config(resolved: dict) -> LabelingConfig:
     return LabelingConfig(
-        rule_mode=RuleMode(resolved.get("rule", "ratio-or-action")),
-        duration_bucket_edges=_parse_edges(resolved.get("buckets", "60,300")),
-        min_history=resolved.get("min_history", 5),
+        rule_mode=RuleMode(resolved["rule"]),
+        duration_bucket_edges=_parse_edges(resolved["buckets"]),
+        min_history=resolved["min_history"],
         ratio_cap=resolved["ratio_cap"],
-        beta_baseline=resolved.get("beta_baseline", "user"),
+        beta_baseline=resolved["beta_baseline"],
+    )
+
+
+def _train_config(resolved: dict, objective: str, seed: int) -> TrainConfig:
+    return TrainConfig(
+        objective=Objective(objective),
+        learning_rate=resolved["lr"],
+        epochs=resolved["epochs"],
+        dimension=resolved["dim"],
+        l2=resolved["l2"],
+        seed=seed,
+        fixed_beta=_parse_beta(resolved["beta"]),
+        batch_size=resolved["batch_size"],
     )
 
 
@@ -287,8 +300,7 @@ def _cmd_label(resolved: dict, outputs: list[str]) -> None:
             file=sys.stderr,
         )
     config = _labeling_config(resolved)
-    mode = LabelingMode.CAUSAL if resolved["mode"] == "causal" else LabelingMode.LEAVE_ONE_OUT
-    labeled = label_log(result.events, config, mode)
+    labeled = label_log(result.events, config, LabelingMode(resolved["mode"]))
     out = resolved["out"]
     profiles_out = resolved["profiles_out"] or out + ".profiles"
     resolved["profiles_out"] = profiles_out
@@ -301,16 +313,7 @@ def _cmd_label(resolved: dict, outputs: list[str]) -> None:
 
 def _cmd_train(resolved: dict, outputs: list[str]) -> None:
     samples = read_samples(resolved["samples"])
-    config = TrainConfig(
-        objective=Objective(resolved["objective"]),
-        learning_rate=resolved["lr"],
-        epochs=resolved["epochs"],
-        dimension=resolved["dim"],
-        l2=resolved["l2"],
-        seed=resolved["seed"],
-        fixed_beta=_parse_beta(resolved["beta"]),
-        batch_size=resolved["batch_size"],
-    )
+    config = _train_config(resolved, resolved["objective"], resolved["seed"])
     if resolved["neg_sample"]:
         catalog = [s.item_id for s in samples]
         before = len(samples)
@@ -356,22 +359,11 @@ def _cmd_analyze(resolved: dict, outputs: list[str]) -> None:
 
 
 def _cmd_simulate(resolved: dict, outputs: list[str]) -> None:
-    fixed_beta = _parse_beta(resolved["beta"])
-
-    def train_config(objective: str, seed: int) -> TrainConfig:
-        return TrainConfig(
-            objective=Objective(objective),
-            learning_rate=resolved["lr"],
-            epochs=resolved["epochs"],
-            dimension=resolved["dim"],
-            l2=resolved["l2"],
-            seed=seed,
-            fixed_beta=fixed_beta,
-            batch_size=resolved["batch_size"],
-        )
-
-    def sim_config(seed: int) -> SimConfig:
-        return SimConfig(
+    if resolved["seeds"] < 1:
+        raise ValueError(f"seeds must be >= 1, got {resolved['seeds']}")
+    runs = []
+    for seed in range(resolved["seed"], resolved["seed"] + resolved["seeds"]):
+        config = SimConfig(
             population=resolved["population"],
             catalog=resolved["catalog"],
             days=resolved["days"],
@@ -387,29 +379,15 @@ def _cmd_simulate(resolved: dict, outputs: list[str]) -> None:
             warm_start=resolved["warm_start"],
             labeling=LabelingConfig(rule_mode=RuleMode(resolved["rule"])),
         )
-
+        report = simulate_experiment(
+            _train_config(resolved, resolved["obj_a"], seed),
+            _train_config(resolved, resolved["obj_b"], seed),
+            config,
+        )
+        runs.append((seed, report))
     out = resolved["out"]
     outputs.append(out)
-    base = resolved["seed"]
-    if resolved["seeds"] == 1:
-        report = simulate_experiment(
-            train_config(resolved["obj_a"], base),
-            train_config(resolved["obj_b"], base),
-            sim_config(base),
-        )
-        write_daily_report(out, report)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["seed"] + DAILY_REPORT_HEADER)
-            for offset in range(resolved["seeds"]):
-                seed = base + offset
-                report = simulate_experiment(
-                    train_config(resolved["obj_a"], seed),
-                    train_config(resolved["obj_b"], seed),
-                    sim_config(seed),
-                )
-                append_daily_report(handle, report, seed)
+    write_daily_report(out, runs)
     _write_manifest(out, "simulate", resolved, [], outputs)
 
 

@@ -126,6 +126,8 @@ class SimConfig:
     def __post_init__(self):
         if self.population < 2 or self.catalog < 1:
             raise ValueError("population must be >= 2 and catalog >= 1")
+        if self.days < 1:
+            raise ValueError("days must be >= 1")
         if not 0.0 <= self.surface_true_correlation <= 1.0:
             raise ValueError("surface_true_correlation must lie in [0, 1]")
         if not 0.0 <= self.population_taste < 1.0:
@@ -449,16 +451,15 @@ DAILY_REPORT_HEADER = [
 ]
 
 
-def write_daily_report(path, report: SimReport) -> None:
-    """Daily CSV: `day,arm,active_users,retention_delta,tolerance_rate,
-    dwell_delta`."""
+def write_daily_report(path, runs: list[tuple[int, SimReport]]) -> None:
+    """Daily CSV of ``(seed, report)`` runs: `day,arm,active_users,
+    retention_delta,tolerance_rate,dwell_delta`, behind a leading `seed`
+    column when there is more than one run."""
+    seed_column = len(runs) > 1
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(DAILY_REPORT_HEADER)
-        writer.writerows(report.table_rows())
-
-
-def append_daily_report(handle, report: SimReport, seed: int) -> None:
-    """Rows of a multi-seed daily CSV, with a leading seed column."""
-    writer = csv.writer(handle)
-    writer.writerows([[str(seed)] + row for row in report.table_rows()])
+        writer.writerow(["seed"] * seed_column + DAILY_REPORT_HEADER)
+        for seed, report in runs:
+            writer.writerows(
+                [str(seed)] * seed_column + row for row in report.table_rows()
+            )

@@ -376,6 +376,8 @@ def augment_with_sampled_negatives(
     user never interacted with in ``samples`` and appends NEGATIVE
     samples at the source timestamp.
     """
+    if negatives_per_positive < 0:
+        raise ValueError("negatives_per_positive must be non-negative")
     rng = np.random.default_rng(seed)
     catalog = sorted(set(catalog))
     seen: dict[str, set[str]] = {}

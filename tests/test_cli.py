@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tolrec
-from tolrec.cli import main, parse_window
+from tolrec.cli import _resolve, build_parser, main, parse_window
 from tolrec.events import write_events
 from tolrec.fixtures import generate_fixture_events
 
@@ -71,7 +71,9 @@ class TestLabelCommand:
 
     def test_config_file_under_flags(self, tmp_path, event_file):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"mode": "loo", "min_history": 3}))
+        config.write_text(json.dumps(
+            {"mode": "loo", "min_history": 3, "ratio_cap": 1, "profiles_out": None}
+        ))
         out = tmp_path / "samples.jsonl"
         assert run(
             "label", "--events", event_file, "--out", out,
@@ -80,6 +82,7 @@ class TestLabelCommand:
         manifest = json.loads((tmp_path / "samples.jsonl.manifest.json").read_text())
         assert manifest["config"]["mode"] == "loo"  # from file
         assert manifest["config"]["min_history"] == 4  # flag wins
+        assert type(manifest["config"]["ratio_cap"]) is int  # checked, not converted
 
     def test_unknown_config_key_fails(self, tmp_path, event_file):
         config = tmp_path / "config.json"
@@ -94,6 +97,113 @@ class TestLabelCommand:
         out = tmp_path / "samples.jsonl"
         assert run("label", "--events", tmp_path / "nope.jsonl", "--out", out) == 1
         assert not out.exists()
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command, config, keys",
+        [
+            ("label", {"mode": "casual"}, ["mode"]),
+            ("simulate", {"warm_start": "false"}, ["warm_start"]),
+            ("label", {"threads": "2"}, ["threads"]),
+            ("label", {"min_history": 2.5}, ["min_history"]),
+            ("label", {"command": "train", "config": "other.json"}, ["command", "config"]),
+            ("label", {"min_history": True}, ["min_history"]),
+            ("label", {"threads": None}, ["threads"]),
+        ],
+        ids=[
+            "mode-typo", "warm_start-string", "threads-string", "min_history-float",
+            "command-config-keys", "min_history-bool", "threads-null",
+        ],
+    )
+    def test_bad_value_fails_naming_key(
+        self, tmp_path, event_file, capsys, command, config, keys
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        inputs = ["--events", event_file] if command == "label" else []
+        assert run(command, "--out", out, "--config", path, *inputs) == 1
+        assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
+
+    #: Every command's defaults written out literally, so that no edit of
+    #: `OPTIONS` moves one unnoticed; the benchmark's pinned manifests cover
+    #: only the commands and flags it runs.
+    DEFAULTS = {
+        "label": {
+            "mode": "causal",
+            "rule": "ratio-or-action",
+            "buckets": "60,300",
+            "min_history": 5,
+            "ratio_cap": 1.0,
+            "beta_baseline": "user",
+            "profiles_out": None,
+            "threads": 1,
+        },
+        "train": {
+            "objective": "standard",
+            "beta": "from-samples",
+            "lr": 0.1,
+            "epochs": 20,
+            "dim": 8,
+            "l2": 0.0,
+            "batch_size": 256,
+            "seed": 0,
+            "neg_sample": 0,
+            "history_out": None,
+        },
+        "analyze": {
+            "platform": "video",
+            "buckets": "",
+            "ratio_cap": 1.0,
+            "min_watch_seconds": 0.0,
+            "plot_out": None,
+            "threads": 1,
+        },
+        "simulate": {
+            "seeds": 1,
+            "seed": 0,
+            "obj_a": "standard",
+            "obj_b": "tol-weak",
+            "beta": "from-samples",
+            "days": 7,
+            "population": 100,
+            "catalog": 200,
+            "slate": 10,
+            "pool": 40,
+            "dim": 8,
+            "temperature": 1.0,
+            "rho": 0.3,
+            "trust_decay": 0.05,
+            "trust_recovery": 0.005,
+            "lr": 0.3,
+            "epochs": 30,
+            "l2": 1e-4,
+            "batch_size": 256,
+            "warm_start": False,
+            "rule": "ratio-or-action",
+        },
+        "report": {"analyze": None, "simulate": None, "train_history": None},
+    }
+    REQUIRED = {
+        "label": {"out": "o", "events": "e"},
+        "train": {"out": "o", "samples": "s"},
+        "analyze": {"out": "o", "events": "e", "ref": "r", "inv": "i"},
+        "simulate": {"out": "o"},
+        "report": {"out": "o"},
+    }
+
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_resolved_defaults(self, command):
+        required = self.REQUIRED[command]
+        argv = [command] + [arg for k, v in required.items() for arg in (f"--{k}", v)]
+        resolved = _resolve(build_parser().parse_args(argv))
+        # Compared as manifest JSON, so 1 and 1.0 differ.
+        assert json.dumps(resolved, sort_keys=True) == json.dumps(
+            {**self.DEFAULTS[command], **required}, sort_keys=True
+        )
 
 
 class TestTrainCommand:
@@ -173,6 +283,13 @@ class TestSimulateCommand:
         assert lines[0].startswith("seed,day,arm")
         seeds = {line.split(",")[0] for line in lines[1:]}
         assert seeds == {"0", "1"}
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_rejects_fewer_than_one_seed(self, tmp_path, capsys, seeds):
+        out = tmp_path / "daily.csv"
+        assert run("simulate", "--out", out, "--seeds", seeds) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "seeds" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -34,6 +34,13 @@ def small_sim(**overrides):
     return SimConfig(**defaults)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("days", [0, -1])
+    def test_rejects_fewer_than_one_day(self, days):
+        with pytest.raises(ValueError, match="days"):
+            small_sim(days=days)
+
+
 class TestGeneratePopulation:
     def test_perfect_correlation_makes_surface_equal_content(self):
         users, items = generate_population(small_sim(surface_true_correlation=1.0))
@@ -243,7 +250,7 @@ class TestSimulateExperiment:
         config = small_sim(seed=1, days=2)
         report = simulate_experiment(train_config(), train_config(), config)
         path = tmp_path / "daily.csv"
-        write_daily_report(path, report)
+        write_daily_report(path, [(1, report)])
         lines = path.read_text().splitlines()
         assert lines[0] == "day,arm,active_users,retention_delta,tolerance_rate,dwell_delta"
         # 2 days x 2 arms + 2 average rows

@@ -377,6 +377,11 @@ class TestNegativeSampling:
         b = augment_with_sampled_negatives(samples, 5, catalog, seed=4)
         assert a == b
 
+    def test_rejects_negative_count(self):
+        samples = [sample("u1", "i1", Label.POSITIVE)]
+        with pytest.raises(ValueError, match="negatives_per_positive"):
+            augment_with_sampled_negatives(samples, -1, ["i1", "i2"])
+
 
 class TestSnapshot:
     def test_round_trip_exact(self, tmp_path, rng):
