@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .cohort import CohortConfig, analyze, read_report, write_plot_data, write_report
-from .events import Platform, TimeWindow, ingest_log
+from .events import InteractionEvent, Platform, TimeWindow, ingest_log
 from .labeling import (
     LabelingConfig,
     LabelingMode,
@@ -292,15 +292,20 @@ def _train_config(resolved: dict, objective: str, seed: int) -> TrainConfig:
     )
 
 
-def _cmd_label(resolved: dict, outputs: list[str]) -> None:
+def _ingest(resolved: dict) -> list[InteractionEvent]:
     result = ingest_log(resolved["events"], workers=resolved["threads"])
     if result.rejected_count:
         print(
             f"note: rejected {result.rejected_count} malformed lines",
             file=sys.stderr,
         )
+    return result.events
+
+
+def _cmd_label(resolved: dict, outputs: list[str]) -> None:
+    events = _ingest(resolved)
     config = _labeling_config(resolved)
-    labeled = label_log(result.events, config, LabelingMode(resolved["mode"]))
+    labeled = label_log(events, config, LabelingMode(resolved["mode"]))
     out = resolved["out"]
     profiles_out = resolved["profiles_out"] or out + ".profiles"
     resolved["profiles_out"] = profiles_out
@@ -336,7 +341,7 @@ def _cmd_train(resolved: dict, outputs: list[str]) -> None:
 
 
 def _cmd_analyze(resolved: dict, outputs: list[str]) -> None:
-    result = ingest_log(resolved["events"], workers=resolved["threads"])
+    events = _ingest(resolved)
     config = CohortConfig(
         reference=parse_window(resolved["ref"]),
         investigation=parse_window(resolved["inv"]),
@@ -345,7 +350,7 @@ def _cmd_analyze(resolved: dict, outputs: list[str]) -> None:
         min_watch_seconds=resolved["min_watch_seconds"],
     )
     labeling = LabelingConfig(ratio_cap=resolved["ratio_cap"])
-    report = analyze(result.events, config, labeling)
+    report = analyze(events, config, labeling)
     if report.empty:
         print("warning: no users with reference-window engagement", file=sys.stderr)
     out = resolved["out"]

@@ -255,15 +255,8 @@ class CausalLabeler:
             return self._global.mean
         return GLOBAL_MEAN_SEED
 
-    def _absorb(self, event: InteractionEvent) -> None:
-        profile = self.profiles.setdefault(event.user_id, UserProfile(event.user_id))
-        update_profile(profile, event, self.config)
-        if event.platform is Platform.VIDEO and event.clicked:
-            self._global.push(watch_ratio(event, self.config.ratio_cap))
-
     def extend(self, events: list[InteractionEvent]) -> list[LabeledSample]:
         """Label a (user, timestamp)-sorted batch and absorb it into state."""
-        _check_sorted(events)
         if events and self._max_timestamp is not None:
             earliest = min(e.timestamp for e in events)
             if earliest <= self._max_timestamp:
@@ -271,32 +264,10 @@ class CausalLabeler:
                     f"batch timestamp {earliest} not after previously seen "
                     f"{self._max_timestamp}"
                 )
-
-        samples: list[LabeledSample | None] = [None] * len(events)
-        order = sorted(range(len(events)), key=lambda k: (events[k].timestamp, k))
-        start = 0
-        while start < len(order):
-            stop = start
-            ts = events[order[start]].timestamp
-            while stop < len(order) and events[order[stop]].timestamp == ts:
-                stop += 1
-            group = order[start:stop]
-            global_mean = self.global_mean
-            for k in group:
-                event = events[k]
-                profile = self.profiles.get(event.user_id) or UserProfile(
-                    event.user_id
-                )
-                samples[k] = label_event(event, profile, global_mean, self.config)
-            for k in group:
-                self._absorb(events[k])
-            start = stop
-
+        samples = _label(events, self, loo=False)
         if events:
-            latest = max(e.timestamp for e in events)
-            if self._max_timestamp is None or latest > self._max_timestamp:
-                self._max_timestamp = latest
-        return samples  # type: ignore[return-value]
+            self._max_timestamp = max(e.timestamp for e in events)
+        return samples
 
 
 @dataclass
@@ -316,79 +287,100 @@ def label_log(
     Output order matches input order; the returned profiles and global
     mean reflect the full history in both modes.
     """
-    _check_sorted(events)
+    labeler = CausalLabeler(config)
     if mode is LabelingMode.CAUSAL:
-        labeler = CausalLabeler(config)
         samples = labeler.extend(events)
-        return LabelingResult(samples, labeler.profiles, labeler.global_mean)
-    return _label_leave_one_out(events, config)
+    else:
+        samples = _label(events, labeler, loo=True)
+    return LabelingResult(samples, labeler.profiles, labeler.global_mean)
 
 
-def _check_sorted(events: list[InteractionEvent]) -> None:
-    for prev, cur in zip(events, events[1:]):
-        if (cur.user_id, cur.timestamp) < (prev.user_id, prev.timestamp):
-            raise ValueError("events must be sorted by (user_id, timestamp)")
-
-
-def _excluded_means(ratios: list[float], skips: Sequence[int]) -> list[float]:
-    """For each ascending position in ``skips``, the running mean of
-    ``ratios`` with that position left out (0.0 when nothing is left).
-
-    Bit-identical to pushing the remaining ratios one at a time: the
-    trajectory that skips ``j`` starts from the prefix mean before ``j``,
-    and at every later index ``i`` each active trajectory takes the same
-    ratio with the same divisor ``i``, so all of them advance together as
-    one array slice. O(len(ratios)) Python steps plus
-    O(len(ratios) * len(skips)) vector flops.
+def _running_means(
+    stats: BucketStats, ratios: list[float], skips: Sequence[int] = ()
+) -> tuple[list[float], list[float]]:
+    """Push ``ratios`` into ``stats``; return the mean before each push and,
+    for each ascending position in ``skips``, the mean with that ratio left
+    out. The trajectory that skips ``j`` starts from the mean before ``j``,
+    and at every later push each active trajectory takes the same ratio and
+    divisor ``stats.count``, so all advance together as one array slice,
+    bit-identical to pushing the other ratios one at a time.
     """
-    means = np.zeros(len(skips))
-    prefix = 0.0
+    before = []
+    excluded = np.zeros(len(skips))
     active = 0
     for index, ratio in enumerate(ratios):
         if active:
-            head = means[:active]
-            head += (ratio - head) / index
+            head = excluded[:active]
+            head += (ratio - head) / stats.count
         if active < len(skips) and skips[active] == index:
-            means[active] = prefix
+            excluded[active] = stats.mean
             active += 1
-        prefix += (ratio - prefix) / (index + 1)
-    return means.tolist()
+        before.append(stats.mean)
+        stats.push(ratio)
+    return before, excluded.tolist()
 
 
-def _label_leave_one_out(
-    events: list[InteractionEvent], config: LabelingConfig
-) -> LabelingResult:
-    # Each engaged video event is labeled against its (user, bucket) mean
-    # and, when that history is short or beta uses the population baseline,
-    # the time-ordered global mean, both with the event itself left out.
-    # Means are exact running means, not downdated sums: downdating drifts
-    # at the last ulp and breaks exact-tie labels for repeated ratios.
-    # Cost: O(N) Python steps, plus vector flops of O(L²) per (user, bucket)
-    # list of length L and O(N · fallbacks) on the global list.
-    engaged = [
-        k
-        for k, event in enumerate(events)
-        if event.platform is Platform.VIDEO and event.clicked
-    ]
+def _label(
+    events: list[InteractionEvent], labeler: CausalLabeler, loo: bool
+) -> list[LabeledSample]:
+    """Label a (user, timestamp)-sorted batch and push every engaged ratio
+    into ``labeler``'s profiles and global mean.
+
+    Each clicked video event reads its (user, bucket) mean and, when that
+    history is short or beta uses the population baseline, the global mean:
+    causal mode as they stood before the event's instant, leave-one-out
+    mode over the whole batch minus the event itself. Means are exact
+    running means, not downdated sums: downdating drifts at the last ulp
+    and breaks exact-tie labels for repeated ratios. Cost: O(N log N)
+    Python steps; leave-one-out adds vector flops of O(L²) per
+    (user, bucket) list of length L and O(N · fallbacks) on the global list.
+    """
+    for prev, cur in zip(events, events[1:]):
+        if (cur.user_id, cur.timestamp) < (prev.user_id, prev.timestamp):
+            raise ValueError("events must be sorted by (user_id, timestamp)")
+    config = labeler.config
+    profiles = labeler.profiles
     # Per-event state sits in flat lists by event position, which take about
     # a third of the memory of dicts. Input order is (user, timestamp)
     # order, so each (user, bucket) list of positions is in time order.
     ratio = [0.0] * len(events)
     bucket = [0] * len(events)
     per_bucket: dict[tuple[str, int], list[int]] = {}
-    for k in engaged:
-        ratio[k] = watch_ratio(events[k], config.ratio_cap)
-        bucket[k] = config.bucket_index(events[k].item_duration)
-        per_bucket.setdefault((events[k].user_id, bucket[k]), []).append(k)
+    for k, event in enumerate(events):
+        if event.user_id not in profiles:
+            profiles[event.user_id] = UserProfile(event.user_id)
+        if event.platform is Platform.VIDEO and event.clicked:
+            ratio[k] = watch_ratio(event, config.ratio_cap)
+            bucket[k] = config.bucket_index(event.item_duration)
+            per_bucket.setdefault((event.user_id, bucket[k]), []).append(k)
+
+    def prior(stats: BucketStats, members: list[int], skips: Sequence[int]):
+        """Push the members' ratios; yield (position, count, mean) read."""
+        start = stats.count
+        before, excluded = _running_means(
+            stats, [ratio[k] for k in members], skips if loo else ()
+        )
+        if loo:
+            for i, mean in zip(skips, excluded):
+                yield members[i], stats.count - 1, mean
+            return
+        first = 0
+        for i, k in enumerate(members):
+            if events[k].timestamp != events[members[first]].timestamp:
+                first = i
+            yield k, start + first, before[first]
+
     count = [0] * len(events)
     bucket_mean = [0.0] * len(events)
-    for members in per_bucket.values():
-        means = _excluded_means([ratio[k] for k in members], range(len(members)))
-        for k, mean in zip(members, means):
-            count[k] = len(members) - 1
-            bucket_mean[k] = mean
+    for (user_id, b), members in per_bucket.items():
+        stats = profiles[user_id].buckets.setdefault(b, BucketStats())
+        for k, n, mean in prior(stats, members, range(len(members))):
+            count[k], bucket_mean[k] = n, mean
 
-    time_order = sorted(engaged, key=lambda k: (events[k].timestamp, k))
+    time_order = sorted(
+        (k for members in per_bucket.values() for k in members),
+        key=lambda k: (events[k].timestamp, k),
+    )
     population = config.beta_baseline == "population"
     skips = [
         i
@@ -396,10 +388,9 @@ def _label_leave_one_out(
         if population or count[k] < config.min_history
     ]
     global_mean = [GLOBAL_MEAN_SEED] * len(events)
-    if len(time_order) > 1:
-        means = _excluded_means([ratio[k] for k in time_order], skips)
-        for i, mean in zip(skips, means):
-            global_mean[time_order[i]] = mean
+    for k, total, mean in prior(labeler._global, time_order, skips):
+        if total:
+            global_mean[k] = mean
 
     samples: list[LabeledSample] = []
     for k, event in enumerate(events):
@@ -407,12 +398,7 @@ def _label_leave_one_out(
         if count[k]:
             profile.buckets[bucket[k]] = BucketStats(count[k], bucket_mean[k])
         samples.append(label_event(event, profile, global_mean[k], config))
-
-    # Full-history profiles and global mean: the causal end state.
-    final = CausalLabeler(config)
-    for k in sorted(range(len(events)), key=lambda k: (events[k].timestamp, k)):
-        final._absorb(events[k])
-    return LabelingResult(samples, final.profiles, final.global_mean)
+    return samples
 
 
 # ---------------------------------------------------------------------------

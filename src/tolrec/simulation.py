@@ -128,6 +128,10 @@ class SimConfig:
             raise ValueError("population must be >= 2 and catalog >= 1")
         if self.days < 1:
             raise ValueError("days must be >= 1")
+        if self.slate_size < 1:
+            raise ValueError("slate_size must be >= 1")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
         if not 0.0 <= self.surface_true_correlation <= 1.0:
             raise ValueError("surface_true_correlation must lie in [0, 1]")
         if not 0.0 <= self.population_taste < 1.0:

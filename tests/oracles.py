@@ -13,6 +13,7 @@ from tolrec.events import InteractionEvent, Platform
 from tolrec.labeling import (
     GLOBAL_MEAN_SEED,
     BucketStats,
+    CausalLabeler,
     Label,
     LabeledSample,
     LabelingConfig,
@@ -121,6 +122,43 @@ def brute_force_causal_labels(
             )
         )
     return samples
+
+
+def reference_causal_extend(
+    labeler: CausalLabeler, events: list[InteractionEvent]
+) -> list[LabeledSample]:
+    """The per-event causal loop: each timestamp group is labeled against
+    ``labeler``'s state before that instant, then folded in one event at a
+    time through :func:`update_profile`. Updates ``labeler``'s profiles and
+    global mean as :meth:`CausalLabeler.extend` must; the batch checks of
+    ``extend`` are left out."""
+
+    def absorb(event: InteractionEvent) -> None:
+        profile = labeler.profiles.setdefault(event.user_id, UserProfile(event.user_id))
+        update_profile(profile, event, labeler.config)
+        if event.platform is Platform.VIDEO and event.clicked:
+            labeler._global.push(watch_ratio(event, labeler.config.ratio_cap))
+
+    samples: list[LabeledSample | None] = [None] * len(events)
+    order = sorted(range(len(events)), key=lambda k: (events[k].timestamp, k))
+    start = 0
+    while start < len(order):
+        stop = start
+        ts = events[order[start]].timestamp
+        while stop < len(order) and events[order[stop]].timestamp == ts:
+            stop += 1
+        group = order[start:stop]
+        global_mean = labeler.global_mean
+        for k in group:
+            event = events[k]
+            profile = labeler.profiles.get(event.user_id) or UserProfile(
+                event.user_id
+            )
+            samples[k] = label_event(event, profile, global_mean, labeler.config)
+        for k in group:
+            absorb(events[k])
+        start = stop
+    return samples  # type: ignore[return-value]
 
 
 def _mean_excluding(ratios: list[float], skip: int | None) -> tuple[int, float]:

@@ -57,6 +57,12 @@ def report(number: int, ok: bool, description: str) -> None:
         print(line)
 
 
+def mean_and_se(values: list[float]) -> tuple[float, float]:
+    """Mean and standard error of paired per-seed deltas."""
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    return float(np.mean(values)), se
+
+
 def sim_train_config(objective: Objective, seed: int) -> TrainConfig:
     return TrainConfig(
         objective=objective,
@@ -304,7 +310,7 @@ def test_criterion_08_simulation_directional(treated):
     tolerance rates and positive average retention deltas in >= 8/10
     paired seeds."""
     lower = 0
-    positive = 0
+    deltas = []
     for seed in range(10):
         sim = SimConfig(seed=seed)
         rep = simulate_experiment(
@@ -314,14 +320,16 @@ def test_criterion_08_simulation_directional(treated):
         )
         if rep.overall_tolerance_rate("B") < rep.overall_tolerance_rate("A"):
             lower += 1
-        if rep.average_retention_delta() > 0:
-            positive += 1
+        deltas.append(rep.average_retention_delta())
+    positive = sum(delta > 0 for delta in deltas)
+    mean, se = mean_and_se(deltas)
     ok = lower >= 8 and positive >= 8
     report(
         8,
         ok,
         f"{treated.value} vs standard: lower tolerance in {lower}/10 seeds, "
-        f"positive retention delta in {positive}/10 seeds",
+        f"positive retention delta in {positive}/10 seeds "
+        f"(mean delta {mean:+.4f}, SE {se:.4f})",
     )
     assert ok
 
@@ -338,8 +346,7 @@ def test_criterion_09_null_effect_without_trust_decay():
             sim,
         )
         deltas.append(rep.average_retention_delta())
-    mean = float(np.mean(deltas))
-    se = float(np.std(deltas, ddof=1) / math.sqrt(len(deltas))) if len(deltas) > 1 else 0.0
+    mean, se = mean_and_se(deltas)
     ok = abs(mean) <= 3.0 * se + 1e-12
     report(9, ok, f"null effect: |mean delta| {abs(mean):.2e} <= 3 x SE {se:.2e} over 10 seeds")
     assert ok

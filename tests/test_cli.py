@@ -253,6 +253,17 @@ class TestAnalyzeCommand:
         plot = (tmp_path / "cohort.csv.plot.csv").read_text().splitlines()
         assert plot[0] == "x,y"
 
+    def test_notes_rejected_lines(self, tmp_path, event_file, capsys):
+        lines = event_file.read_text().splitlines()
+        lines.insert(1, lines[1][: len(lines[1]) // 2])
+        events = tmp_path / "truncated.jsonl"
+        events.write_text("\n".join(lines) + "\n")
+        assert run(
+            "analyze", "--events", events, "--out", tmp_path / "cohort.csv",
+            "--ref", "2024-06-01..2024-06-08", "--inv", "2024-06-08..2024-06-15",
+        ) == 0
+        assert "note: rejected 1 malformed lines" in capsys.readouterr().err
+
     def test_bad_window_fails(self, tmp_path, event_file):
         out = tmp_path / "cohort.csv"
         assert run(

@@ -22,7 +22,11 @@ from tolrec.labeling import (
 )
 
 from conftest import random_event_log
-from oracles import brute_force_causal_labels, reference_label_leave_one_out
+from oracles import (
+    brute_force_causal_labels,
+    reference_causal_extend,
+    reference_label_leave_one_out,
+)
 
 
 def video_event(
@@ -61,6 +65,43 @@ def profile_with_mean(user="u1", bucket=0, count=5, mean=0.6):
     profile = UserProfile(user)
     profile.buckets[bucket] = BucketStats(count=count, mean=mean)
     return profile
+
+
+def oracle_logs():
+    """Sparse and dense fixture logs plus edge cases, (user, timestamp)-sorted:
+    a log whose only engaged event leaves a global count of 0, and one with
+    a length-1 bucket list and repeated identical and capped ratios."""
+
+    def by_user(events):
+        return sorted(events, key=lambda e: (e.user_id, e.timestamp))
+
+    return {
+        "sparse": by_user(generate_fixture_events(1200, n_users=600, seed=3)),
+        "dense": by_user(generate_fixture_events(1200, n_users=20, seed=4)),
+        "only-engaged": [
+            ecom_event(ts=0),
+            video_event(ts=1, clicked=False, watch=0.0),
+            video_event(ts=2, watch=3.0),
+            ecom_event(ts=3, clicked=False),
+        ],
+        "single-and-ties": by_user(
+            [video_event(user="a", ts=0, watch=9.0, duration=500.0)]
+            + [
+                video_event(user=u, item=f"{u}{t}", ts=t % 3, watch=w)
+                for u in "bcd"
+                for t, w in enumerate([3.0, 3.0, 7.0, 3.0, 3.0, 12.0, 3.0])
+            ]
+        ),
+    }
+
+
+ORACLE_CONFIGS = [
+    LabelingConfig(),
+    LabelingConfig(beta_baseline="population"),
+    LabelingConfig(min_history=1),
+    LabelingConfig(min_history=1, beta_baseline="population"),
+    LabelingConfig(duration_bucket_edges=(), rule_mode=RuleMode.RATIO_ONLY),
+]
 
 
 class TestWatchRatio:
@@ -394,43 +435,44 @@ class TestLabelLog:
     def test_loo_matches_reference_bit_for_bit(self):
         """Leave-one-out labels, betas, profiles and global mean equal the
         per-event rescan exactly, on sparse and dense logs and edge cases."""
-
-        def by_user(events):
-            return sorted(events, key=lambda e: (e.user_id, e.timestamp))
-
-        logs = {
-            "sparse": by_user(generate_fixture_events(1200, n_users=600, seed=3)),
-            "dense": by_user(generate_fixture_events(1200, n_users=20, seed=4)),
-            "only-engaged": [
-                ecom_event(ts=0),
-                video_event(ts=1, clicked=False, watch=0.0),
-                video_event(ts=2, watch=3.0),
-                ecom_event(ts=3, clicked=False),
-            ],
-            "single-and-ties": by_user(
-                [video_event(user="a", ts=0, watch=9.0, duration=500.0)]
-                + [
-                    video_event(user=u, item=f"{u}{t}", ts=t % 3, watch=w)
-                    for u in "bcd"
-                    for t, w in enumerate([3.0, 3.0, 7.0, 3.0, 3.0, 12.0, 3.0])
-                ]
-            ),
-        }
-        configs = [
-            LabelingConfig(),
-            LabelingConfig(beta_baseline="population"),
-            LabelingConfig(min_history=1),
-            LabelingConfig(min_history=1, beta_baseline="population"),
-            LabelingConfig(duration_bucket_edges=(), rule_mode=RuleMode.RATIO_ONLY),
-        ]
-        for name, events in logs.items():
-            for config in configs:
+        for name, events in oracle_logs().items():
+            for config in ORACLE_CONFIGS:
                 case = (name, config)
                 expected = reference_label_leave_one_out(events, config)
                 got = label_log(events, config, LabelingMode.LEAVE_ONE_OUT)
                 assert got.samples == expected.samples, case
                 assert got.global_mean == expected.global_mean, case
                 assert got.profiles == expected.profiles, case
+
+    def test_causal_matches_reference_bit_for_bit(self):
+        """Causal labels, betas, profiles and global mean equal the per-event
+        loop exactly, fed whole, a day at a time and an instant at a time;
+        both modes end in the same profiles and global mean."""
+        for name, events in oracle_logs().items():
+            days, instants = {}, {}
+            for event in events:
+                days.setdefault(event.timestamp // 86_400, []).append(event)
+                instants.setdefault(event.timestamp, []).append(event)
+            feeds = {
+                "whole": [events],
+                "days": [days[d] for d in sorted(days)],
+                "instants": [instants[t] for t in sorted(instants)],
+            }
+            for config in ORACLE_CONFIGS:
+                for feed, batches in feeds.items():
+                    case = (name, feed, config)
+                    labeler = CausalLabeler(config)
+                    reference = CausalLabeler(config)
+                    for batch in batches:
+                        got = labeler.extend(batch)
+                        assert got == reference_causal_extend(reference, batch), case
+                    assert labeler.profiles == reference.profiles, case
+                    assert labeler.global_mean == reference.global_mean, case
+                causal = label_log(events, config, LabelingMode.CAUSAL)
+                loo = label_log(events, config, LabelingMode.LEAVE_ONE_OUT)
+                assert causal.profiles == loo.profiles == reference.profiles, name
+                assert causal.global_mean == loo.global_mean, name
+                assert loo.global_mean == reference.global_mean, name
 
     def test_extend_rejects_time_overlap(self):
         labeler = CausalLabeler(LabelingConfig())

@@ -40,6 +40,16 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="days"):
             small_sim(days=days)
 
+    @pytest.mark.parametrize("slate", [0, -1])
+    def test_rejects_empty_slate(self, slate):
+        with pytest.raises(ValueError, match="slate_size"):
+            small_sim(slate_size=slate)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_rejects_non_positive_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            small_sim(temperature=temperature)
+
 
 class TestGeneratePopulation:
     def test_perfect_correlation_makes_surface_equal_content(self):
