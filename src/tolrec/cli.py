@@ -15,12 +15,13 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .cohort import CohortConfig, analyze, read_report, write_plot_data, write_report
+from .cohort import COHORT_HEADER, CohortConfig, analyze, write_plot_data, write_report
 from .events import InteractionEvent, Platform, TimeWindow, ingest_log
 from .labeling import (
     LabelingConfig,
@@ -39,6 +40,7 @@ from .simulation import (
     write_daily_report,
 )
 from .trainer import (
+    HISTORY_HEADER,
     Objective,
     TrainConfig,
     augment_with_sampled_negatives,
@@ -266,6 +268,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, name)
         if value is not None:
             resolved[name] = value
+    # NaN passes every range check downstream; inf stays ("--ratio-cap inf").
+    for name, value in resolved.items():
+        if isinstance(value, float) and math.isnan(value):
+            raise ValueError(f"{name} must be a number, got nan")
     return resolved
 
 
@@ -293,6 +299,8 @@ def _train_config(resolved: dict, objective: str, seed: int) -> TrainConfig:
 
 
 def _ingest(resolved: dict) -> list[InteractionEvent]:
+    if resolved["threads"] < 1:
+        raise ValueError(f"threads must be >= 1, got {resolved['threads']}")
     result = ingest_log(resolved["events"], workers=resolved["threads"])
     if result.rejected_count:
         print(
@@ -396,44 +404,41 @@ def _cmd_simulate(resolved: dict, outputs: list[str]) -> None:
     _write_manifest(out, "simulate", resolved, [], outputs)
 
 
+#: ``report`` option -> (section tag, headers it accepts, what its file is).
+_REPORT_SECTIONS = {
+    "analyze": ("cohort", [COHORT_HEADER], "a cohort report"),
+    "simulate": (
+        "simulation",
+        [DAILY_REPORT_HEADER, ["seed"] + DAILY_REPORT_HEADER],
+        "a simulation daily report",
+    ),
+    "train_history": ("training", [HISTORY_HEADER], "a loss history"),
+}
+
+
 def _cmd_report(resolved: dict, outputs: list[str]) -> None:
+    """Copy each input's header and rows, `#` comments skipped, under its
+    section tag; the cohort section ends with its user counts."""
     sections = []
     inputs = []
-    if resolved["analyze"]:
-        inputs.append(resolved["analyze"])
-        cohort = read_report(resolved["analyze"])
-        lines = ["[cohort] bucket,users,decline_proportion"]
-        for bucket in cohort.buckets:
-            lines.append(
-                f"{bucket.label},{bucket.users},{bucket.decline_proportion:.6f}"
-            )
-        lines.append(
-            f"considered={cohort.considered} excluded={cohort.excluded}"
-        )
-        sections.append("\n".join(lines))
-    if resolved["simulate"]:
-        inputs.append(resolved["simulate"])
-        with open(resolved["simulate"], encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-        if not rows or rows[0] not in (
-            DAILY_REPORT_HEADER,
-            ["seed"] + DAILY_REPORT_HEADER,
-        ):
-            raise ValueError(
-                f"{resolved['simulate']}: not a simulation daily report"
-            )
-        lines = ["[simulation] " + ",".join(rows[0])]
-        lines += [",".join(row) for row in rows[1:]]
-        sections.append("\n".join(lines))
-    if resolved["train_history"]:
-        inputs.append(resolved["train_history"])
-        with open(resolved["train_history"], encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-        if not rows or rows[0] != ["epoch", "objective", "loss"]:
-            raise ValueError(f"{resolved['train_history']}: not a loss history")
-        lines = ["[training] epoch,objective,loss"]
-        lines += [",".join(row) for row in rows[1:]]
-        sections.append("\n".join(lines))
+    for option, (tag, headers, what) in _REPORT_SECTIONS.items():
+        path = resolved[option]
+        if not path:
+            continue
+        inputs.append(path)
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = list(handle)
+        rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+        if not rows or rows[0] not in headers:
+            raise ValueError(f"{path}: not {what}")
+        section = [f"[{tag}] " + ",".join(rows[0])]
+        section += [",".join(row) for row in rows[1:]]
+        if option == "analyze":
+            counts = [line for line in lines if line.startswith("# considered=")]
+            if not counts:
+                raise ValueError(f"{path}: cohort report has no considered= line")
+            section.append(counts[-1][2:].strip())
+        sections.append("\n".join(section))
     if not sections:
         raise ValueError("report needs at least one of --analyze/--simulate/--train-history")
     out = resolved["out"]

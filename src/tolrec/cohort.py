@@ -10,7 +10,7 @@ decline from zero is undefined.
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .events import InteractionEvent, Platform, TimeWindow
@@ -20,6 +20,8 @@ from .labeling import Label, LabelingConfig, UserProfile, label_event, watch_rat
 DEFAULT_ECOMMERCE_EDGES = (10.0, 20.0, 50.0)
 #: Watch-ratio deciles for video.
 DEFAULT_VIDEO_EDGES = tuple(round(0.1 * k, 1) for k in range(1, 10))
+#: Column header of the report CSV that :func:`write_report` writes.
+COHORT_HEADER = ["bucket", "users", "decline_proportion"]
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,11 @@ class CohortReport:
     buckets: list[BucketReport]
     considered: int
     excluded: int
-    #: Set when no user had reference-window engagement.
-    empty: bool = False
-    notes: list[str] = field(default_factory=list)
+
+    @property
+    def empty(self) -> bool:
+        """No user had reference-window engagement."""
+        return self.considered == 0
 
 
 def engagement(
@@ -172,30 +176,27 @@ def analyze(
         if inv < ref:
             declines[bucket] += 1
 
-    notes = ["video watch ratios are capped at the labeling config's ratio_cap"]
-    report = CohortReport(
+    return CohortReport(
         buckets=[
             BucketReport(label=lab, users=u, declines=d)
             for lab, u, d in zip(labels, users, declines)
         ],
         considered=considered,
         excluded=excluded,
-        empty=considered == 0,
-        notes=notes,
     )
-    return report
 
 
 def write_report(path: str | Path, report: CohortReport) -> None:
-    """CSV with `bucket,users,decline_proportion`; notes become comments."""
+    """CSV with `bucket,users,decline_proportion` under `#` comment lines."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        for note in report.notes:
-            handle.write(f"# {note}\n")
-        handle.write(f"# considered={report.considered} excluded={report.excluded}\n")
+        handle.write(
+            "# video watch ratios are capped at the labeling config's ratio_cap\n"
+            f"# considered={report.considered} excluded={report.excluded}\n"
+        )
         if report.empty:
             handle.write("# warning: no users with reference-window engagement\n")
         writer = csv.writer(handle)
-        writer.writerow(["bucket", "users", "decline_proportion"])
+        writer.writerow(COHORT_HEADER)
         for bucket in report.buckets:
             writer.writerow(
                 [bucket.label, bucket.users, f"{bucket.decline_proportion:.6f}"]
@@ -209,46 +210,3 @@ def write_plot_data(path: str | Path, report: CohortReport) -> None:
         writer.writerow(["x", "y"])
         for x, bucket in enumerate(report.buckets):
             writer.writerow([x, f"{bucket.decline_proportion:.6f}"])
-
-
-def read_report(path: str | Path) -> CohortReport:
-    buckets: list[BucketReport] = []
-    considered = 0
-    excluded = 0
-    empty = False
-    notes: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        rows = []
-        for line in handle:
-            if line.startswith("#"):
-                text = line[1:].strip()
-                if text.startswith("considered="):
-                    parts = dict(p.split("=") for p in text.split())
-                    considered = int(parts["considered"])
-                    excluded = int(parts["excluded"])
-                elif text.startswith("warning"):
-                    empty = True
-                else:
-                    notes.append(text)
-            else:
-                rows.append(line)
-    reader = csv.reader(rows)
-    header = next(reader)
-    if header != ["bucket", "users", "decline_proportion"]:
-        raise ValueError(f"{path}: not a cohort report (header {header})")
-    for label, users, proportion in reader:
-        count = int(users)
-        buckets.append(
-            BucketReport(
-                label=label,
-                users=count,
-                declines=round(float(proportion) * count),
-            )
-        )
-    return CohortReport(
-        buckets=buckets,
-        considered=considered,
-        excluded=excluded,
-        empty=empty,
-        notes=notes,
-    )

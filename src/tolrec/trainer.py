@@ -479,11 +479,15 @@ def read_model(path: str | Path) -> RankingModel:
     )
 
 
+#: Column header of the loss history CSV that :func:`write_history` writes.
+HISTORY_HEADER = ["epoch", "objective", "loss"]
+
+
 def write_history(
     path: str | Path, history: list[float], objective: Objective
 ) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["epoch", "objective", "loss"])
+        writer.writerow(HISTORY_HEADER)
         for epoch, value in enumerate(history):
             writer.writerow([epoch, objective.value, repr(value)])

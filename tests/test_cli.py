@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tolrec
-from tolrec.cli import _resolve, build_parser, main, parse_window
+from tolrec.cli import OPTIONS, _resolve, build_parser, main, parse_window
 from tolrec.events import write_events
 from tolrec.fixtures import generate_fixture_events
 
@@ -97,6 +98,17 @@ class TestLabelCommand:
         out = tmp_path / "samples.jsonl"
         assert run("label", "--events", tmp_path / "nope.jsonl", "--out", out) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["label", "analyze"])
+    def test_rejects_fewer_than_one_thread(
+        self, tmp_path, event_file, capsys, command, threads
+    ):
+        windows = ["--ref", "2024-06-01..2024-06-08", "--inv", "2024-06-08..2024-06-15"]
+        argv = ["--events", event_file, "--out", tmp_path / "out", "--threads", threads]
+        assert run(command, *argv, *windows * (command == "analyze")) == 1
+        assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+        assert "threads" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -194,6 +206,37 @@ class TestConfigFile:
         "simulate": {"out": "o"},
         "report": {"out": "o"},
     }
+
+    FLOATS = [
+        (command, name)
+        for command, options in OPTIONS.items()
+        for name, entry in options.items()
+        if entry[1] is float
+    ]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, name", FLOATS, ids=[f"{c}-{n}" for c, n in FLOATS]
+    )
+    def test_nan_fails_naming_option(self, tmp_path, capsys, command, name, source):
+        argv = [command]
+        for key, value in self.REQUIRED[command].items():
+            argv += [f"--{key}", tmp_path / value]
+        if source == "flag":
+            argv += ["--" + name.replace("_", "-"), "nan"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({name: float("nan")}))  # written as NaN
+            argv += ["--config", config]
+        assert run(*argv) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"] * (
+            source == "config"
+        )
+        assert name in capsys.readouterr().err
+
+    def test_inf_means_no_cap(self):
+        argv = ["label", "--out", "o", "--events", "e", "--ratio-cap", "inf"]
+        assert _resolve(build_parser().parse_args(argv))["ratio_cap"] == float("inf")
 
     @pytest.mark.parametrize("command", list(DEFAULTS))
     def test_resolved_defaults(self, command):
@@ -303,7 +346,110 @@ class TestSimulateCommand:
         assert "seeds" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory):
+    """One input of each kind that `report` merges, made by the commands:
+    a video cohort (its bucket labels hold commas, so the CSV quotes them),
+    a cohort with no engaged user, a 3-seed daily CSV and a loss history."""
+    root = tmp_path_factory.mktemp("report-inputs")
+    events = root / "events.jsonl"
+    write_events(events, generate_fixture_events(n_events=800, n_users=30, seed=3))
+    # No event falls in May, so the second cohort has no engaged user.
+    refs = {"video": "2024-06-01..2024-06-08", "empty": "2024-05-01..2024-05-08"}
+    for name, ref in refs.items():
+        assert run(
+            "analyze", "--events", events, "--out", root / f"{name}.csv", "--ref", ref,
+            "--inv", "2024-06-08..2024-06-15", "--platform", "video",
+        ) == 0
+    assert run(
+        "simulate", "--out", root / "daily.csv", "--seeds", "3", "--days", "2",
+        "--population", "20", "--catalog", "40", "--pool", "12", "--slate", "4",
+        "--epochs", "2",
+    ) == 0
+    assert run("label", "--events", events, "--out", root / "samples.jsonl") == 0
+    assert run(
+        "train", "--samples", root / "samples.jsonl", "--out", root / "model.txt",
+        "--epochs", "2",
+    ) == 0
+    return {
+        "video": root / "video.csv",
+        "empty": root / "empty.csv",
+        "daily": root / "daily.csv",
+        "history": root / "model.txt.history.csv",
+    }
+
+
+#: Input name -> (report flag, section tag), in the order `report` writes them.
+REPORT_SECTIONS = {
+    "video": ("--analyze", "cohort"),
+    "empty": ("--analyze", "cohort"),
+    "daily": ("--simulate", "simulation"),
+    "history": ("--train-history", "training"),
+}
+
+
+def expected_summary(inputs: dict[str, Path], names: tuple[str, ...]) -> str:
+    """The summary `report` should write, built from its inputs with the
+    csv module: each file's header and rows under its tag, comma-joined,
+    and the cohort's `considered=` comment after its rows."""
+    blocks = []
+    for name in names:
+        with open(inputs[name], encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        comments = [row[0][1:].strip() for row in rows if row[0].startswith("#")]
+        table = [",".join(row) for row in rows if not row[0].startswith("#")]
+        tag = REPORT_SECTIONS[name][1]
+        block = [f"[{tag}] {table[0]}", *table[1:]]
+        if tag == "cohort":
+            block += [c for c in comments if c.startswith("considered=")]
+        blocks.append("\n".join(block))
+    return f"tolrec {tolrec.__version__} run summary\n\n" + "\n\n".join(blocks) + "\n"
+
+
 class TestReportCommand:
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("video", "daily", "history"),
+            ("empty", "daily", "history"),
+            ("video",),
+            ("empty",),
+            ("daily",),
+            ("history",),
+        ],
+        ids="+".join,
+    )
+    def test_summary_copies_input_rows(self, tmp_path, report_inputs, names):
+        summary = tmp_path / "summary.txt"
+        argv = [arg for n in names for arg in (REPORT_SECTIONS[n][0], report_inputs[n])]
+        assert run("report", "--out", summary, *argv) == 0
+        text = summary.read_text(encoding="utf-8")
+        assert text == expected_summary(report_inputs, names)
+        if "video" in names:
+            assert "\n[0.1,0.2)," in text  # the label unquoted
+        if "empty" in names:
+            assert "\nconsidered=0 excluded=" in text
+        if "daily" in names:
+            assert "\n[simulation] seed,day,arm," in text
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            (flag, content)
+            for flag in ["--analyze", "--simulate", "--train-history"]
+            for content in ["a,b,c\n1,2,3\n", ""]
+        ]
+        + [("--analyze", "bucket,users,decline_proportion\n<0.1,0,0.000000\n")],
+        ids=lambda value: value if value.startswith("--") else
+        {"": "empty", "a,b,c\n1,2,3\n": "foreign"}.get(value, "no-counts"),
+    )
+    def test_bad_input_fails_naming_file(self, tmp_path, capsys, flag, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(content)
+        assert run("report", "--out", tmp_path / "summary.txt", flag, bad) == 1
+        assert list(tmp_path.iterdir()) == [bad]
+        assert str(bad) in capsys.readouterr().err
+
     def test_merges_pipeline_outputs(self, tmp_path, event_file):
         samples = tmp_path / "samples.jsonl"
         model = tmp_path / "model.txt"

@@ -6,10 +6,8 @@ from tolrec.cohort import (
     CohortReport,
     analyze,
     engagement,
-    read_report,
     tolerance_stat,
     write_plot_data,
-    write_report,
 )
 from tolrec.events import InteractionEvent, Platform, TimeWindow
 from tolrec.labeling import LabelingConfig
@@ -246,30 +244,8 @@ class TestAnalyze:
 
 
 class TestReportFiles:
-    def test_csv_round_trip(self, tmp_path):
-        events = [ecom("u1", ts) for ts in range(10)] + [
-            ecom("u1", ts) for ts in range(100, 104)
-        ]
-        config = CohortConfig(
-            reference=REF, investigation=INV, platform=Platform.ECOMMERCE
-        )
-        report = analyze(events, config, LabelingConfig())
-        path = tmp_path / "cohort.csv"
-        write_report(path, report)
-        loaded = read_report(path)
-        assert [b.label for b in loaded.buckets] == [b.label for b in report.buckets]
-        assert [b.users for b in loaded.buckets] == [b.users for b in report.buckets]
-        assert loaded.considered == report.considered
-        assert loaded.excluded == report.excluded
-
     def test_plot_data_shape(self, tmp_path):
         report = CohortReport(buckets=[], considered=0, excluded=0)
         path = tmp_path / "plot.csv"
         write_plot_data(path, report)
         assert path.read_text().splitlines()[0] == "x,y"
-
-    def test_read_rejects_foreign_csv(self, tmp_path):
-        path = tmp_path / "foreign.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="cohort"):
-            read_report(path)
