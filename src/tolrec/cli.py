@@ -34,7 +34,6 @@ from .labeling import (
 )
 from .simulation import (
     DAILY_REPORT_HEADER,
-    ReturnCurve,
     SimConfig,
     simulate_experiment,
     write_daily_report,
@@ -387,7 +386,6 @@ def _cmd_simulate(resolved: dict, outputs: list[str]) -> None:
             surface_true_correlation=resolved["rho"],
             trust_decay=resolved["trust_decay"],
             trust_recovery=resolved["trust_recovery"],
-            return_curve=ReturnCurve(),
             seed=seed,
             warm_start=resolved["warm_start"],
             labeling=LabelingConfig(rule_mode=RuleMode(resolved["rule"])),

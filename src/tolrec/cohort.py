@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .events import InteractionEvent, Platform, TimeWindow
-from .labeling import Label, LabelingConfig, UserProfile, label_event, watch_ratio
+from .labeling import (
+    Label, LabelingConfig, UserProfile, check_edges, label_event, watch_ratio
+)
 
 #: Tolerance-count bucket edges for e-commerce: 0-9, 10-19, 20-49, 50+.
 DEFAULT_ECOMMERCE_EDGES = (10.0, 20.0, 50.0)
@@ -39,9 +41,7 @@ class CohortConfig:
     def __post_init__(self):
         if self.reference.end > self.investigation.start:
             raise ValueError("reference window must end before investigation starts")
-        edges = self.effective_edges
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("bucket_edges must be strictly ascending")
+        check_edges("bucket_edges", self.effective_edges)
 
     @property
     def effective_edges(self) -> tuple[float, ...]:

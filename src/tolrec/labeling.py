@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 import json
+import math
 
 import numpy as np
 
@@ -70,6 +71,12 @@ VIDEO_POSITIVE_ACTIONS = frozenset({"like", "comment", "share", "follow"})
 GLOBAL_MEAN_SEED = 0.5
 
 
+def check_edges(name: str, edges: tuple[float, ...]) -> None:
+    """Reject bucket edges that hold a NaN or are not strictly ascending."""
+    if any(map(math.isnan, edges)) or any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"{name} must be strictly ascending numbers, got {edges}")
+
+
 @dataclass(frozen=True)
 class LabelingConfig:
     rule_mode: RuleMode = RuleMode.RATIO_OR_ACTION
@@ -83,9 +90,7 @@ class LabelingConfig:
     beta_baseline: str = "user"
 
     def __post_init__(self):
-        edges = self.duration_bucket_edges
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("duration_bucket_edges must be strictly ascending")
+        check_edges("duration_bucket_edges", self.duration_bucket_edges)
         if self.min_history < 1:
             raise ValueError("min_history must be at least 1")
         if self.ratio_cap <= 0:

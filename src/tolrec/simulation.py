@@ -35,12 +35,29 @@ DAY_SECONDS = 86_400
 #: Follow-up actions a satisfied viewer may leave.
 _VIDEO_ACTIONS = ("like", "comment", "share", "follow")
 
+# Response-model constants: every run of the simulator uses these values.
+
+#: Weight of a shared taste direction in every user's vector, in [0, 1).
+#: Above 0, broadly appealing items exist, so clickbait is an item-level
+#: property the ranking model can pick up from pooled feedback.
+POPULATION_TASTE = 0.6
+#: Std-dev of the noise around the expected watch ratio.
+RATIO_NOISE = 0.08
+#: Sharpens the appeal/affinity sigmoids driving expectation and experience.
+WATCH_SHARPNESS = 2.0
+#: Multiplier pushing promise-kept watches past full completion, where the
+#: ratio cap clusters them at exactly 1.0.
+COMPLETION_GAIN = 2.0
+#: Experienced-affinity sigmoid level above which follow-up actions can fire
+#: (and only when the item delivered on its surface promise).
+ACTION_AFFINITY_THRESHOLD = 0.5
+ACTION_PROBABILITY = 0.9
+
 
 @dataclass
 class SimUser:
     user_id: str
     true_affinity: np.ndarray
-    surface_attraction: np.ndarray
     #: Baseline completion tendency in (0, 1).
     patience: float
     trust: float = 1.0
@@ -77,6 +94,10 @@ class ReturnCurve:
         return self.floor + (self.ceiling - self.floor) * unit
 
 
+#: Next-day return probability as a function of trust.
+RETURN_CURVE = ReturnCurve()
+
+
 def _expit(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -98,27 +119,10 @@ class SimConfig:
     #: Correlation between an item's surface and content vectors; below 1,
     #: surface appeal can exceed true affinity (clickbait).
     surface_true_correlation: float = 0.3
-    #: Weight of a shared taste direction in every user's vectors. Above 0,
-    #: broadly appealing items exist, so clickbait is an item-level property
-    #: the ranking model can pick up from pooled feedback.
-    population_taste: float = 0.6
     #: Multiplicative trust loss per tolerance-labeled session.
     trust_decay: float = 0.05
     #: Additive trust gain per positive-labeled session.
     trust_recovery: float = 0.005
-    return_curve: ReturnCurve = ReturnCurve()
-    #: Std-dev of the noise around the expected watch ratio.
-    ratio_noise: float = 0.08
-    #: Sharpens the appeal/affinity sigmoids driving expectation and
-    #: experience.
-    watch_sharpness: float = 2.0
-    #: Multiplier pushing promise-kept watches past full completion, where
-    #: the ratio cap clusters them at exactly 1.0.
-    completion_gain: float = 2.0
-    #: Experienced-affinity sigmoid level above which follow-up actions can
-    #: fire (and only when the item delivered on its surface promise).
-    action_affinity_threshold: float = 0.5
-    action_probability: float = 0.9
     seed: int = 0
     warm_start: bool = False
     labeling: LabelingConfig = LabelingConfig(rule_mode=RuleMode.RATIO_OR_ACTION)
@@ -134,8 +138,6 @@ class SimConfig:
             raise ValueError("temperature must be positive")
         if not 0.0 <= self.surface_true_correlation <= 1.0:
             raise ValueError("surface_true_correlation must lie in [0, 1]")
-        if not 0.0 <= self.population_taste < 1.0:
-            raise ValueError("population_taste must lie in [0, 1)")
         if not 0.0 <= self.trust_decay < 1.0:
             raise ValueError("trust_decay must lie in [0, 1)")
         if self.trust_recovery < 0:
@@ -153,13 +155,14 @@ def generate_population(config: SimConfig) -> tuple[list[SimUser], list[SimItem]
     An item's surface vector is ``rho * content + sqrt(1 - rho^2) * noise``,
     so component correlation equals ``surface_true_correlation`` and
     ``rho = 1`` makes surface and content identical. Users want what they
-    click on (surface attraction equals true affinity) and share a taste
-    direction with weight ``population_taste``; all deception is item-side.
+    click on (one taste vector drives both appeal and affinity) and share a
+    taste direction with weight ``POPULATION_TASTE``; all deception is
+    item-side.
     """
     rng = np.random.default_rng(config.seed)
     d = config.dimension
     scale = (4.0 / d) ** 0.25
-    omega = config.population_taste
+    omega = POPULATION_TASTE
     shared_taste = rng.normal(0.0, scale, d)
     users = []
     for u in range(config.population):
@@ -171,7 +174,6 @@ def generate_population(config: SimConfig) -> tuple[list[SimUser], list[SimItem]
             SimUser(
                 user_id=f"u{u:05d}",
                 true_affinity=taste,
-                surface_attraction=taste.copy(),
                 patience=float(rng.uniform(0.65, 0.95)),
             )
         )
@@ -203,7 +205,7 @@ def user_response(
     """Simulate one impression.
 
     Click probability follows surface appeal. Given a click, the watch
-    ratio is sampled around ``completion_gain * patience * sigmoid(true
+    ratio is sampled around ``COMPLETION_GAIN * patience * sigmoid(true
     affinity)``, normalized by the expectation the surface raised, then
     clamped to [0, 1]: an item that delivers on its promise gets watched
     to the end (the cap clusters kept promises at exactly full
@@ -211,7 +213,7 @@ def user_response(
     shrinks with the expectation gap and grows with patience. Follow-up
     actions fire only on genuinely liked items that kept their promise.
     """
-    appeal = float(user.surface_attraction @ item.surface)
+    appeal = float(user.true_affinity @ item.surface)
     clicked = rng.random() < _expit(appeal / config.temperature)
     if not clicked:
         return InteractionEvent(
@@ -223,17 +225,17 @@ def user_response(
             watch_duration=0.0,
             item_duration=item.duration,
         )
-    expectation = _expit(config.watch_sharpness * appeal)
+    expectation = _expit(WATCH_SHARPNESS * appeal)
     experience = _expit(
-        config.watch_sharpness * float(user.true_affinity @ item.true_content)
+        WATCH_SHARPNESS * float(user.true_affinity @ item.true_content)
     )
     kept_promise = min(1.0, experience / expectation)
-    center = config.completion_gain * user.patience * kept_promise
-    ratio = center + rng.normal(0.0, config.ratio_noise)
+    center = COMPLETION_GAIN * user.patience * kept_promise
+    ratio = center + rng.normal(0.0, RATIO_NOISE)
     ratio = min(max(ratio, 0.0), 1.0)
     actions: frozenset[str] = frozenset()
-    if experience >= expectation and experience > config.action_affinity_threshold:
-        if rng.random() < config.action_probability:
+    if experience >= expectation and experience > ACTION_AFFINITY_THRESHOLD:
+        if rng.random() < ACTION_PROBABILITY:
             actions = frozenset({_VIDEO_ACTIONS[int(rng.integers(len(_VIDEO_ACTIONS)))]})
     return InteractionEvent(
         user_id=user.user_id,
@@ -262,15 +264,17 @@ class DayArmStats:
     arm: str
     active_users: int
     retention: float
-    tolerance_rate: float
     dwell_mean: float
     impressions: int
     tolerance_events: int
 
+    @property
+    def tolerance_rate(self) -> float:
+        return self.tolerance_events / self.impressions if self.impressions else 0.0
+
 
 @dataclass
 class SimReport:
-    objectives: dict[str, str]
     rows: list[DayArmStats] = field(default_factory=list)
 
     def arm_rows(self, arm: str) -> list[DayArmStats]:
@@ -335,6 +339,12 @@ class _Arm:
         self.name = name
         self.config = config
         self.users = [replace(u) for u in users]
+        self.user_by_id = {user.user_id: user for user in self.users}
+        # Seeded alike in every arm, so the arms' behaviour streams are
+        # identical and only the ranking differs.
+        self.rngs = [
+            np.random.default_rng([sim.seed, 17, u]) for u in range(sim.population)
+        ]
         self.labeler = CausalLabeler(sim.labeling)
         self.log: list[LabeledSample] = []
         self.model: RankingModel | None = None
@@ -355,30 +365,18 @@ def simulate_experiment(
         _Arm("A", config_a, users, sim),
         _Arm("B", config_b, users, sim),
     ]
-    # One behavior stream per (arm, user), built from the same seeds so the
-    # arms' streams are identical; one shared matrix of return draws so
-    # retention differs only where trust differs.
-    behavior = {
-        arm.name: [
-            np.random.default_rng([sim.seed, 17, u]) for u in range(sim.population)
-        ]
-        for arm in arms
-    }
+    # One shared matrix of return draws: retention differs only where trust does.
     return_draws = np.random.default_rng([sim.seed, 23]).random(
         (sim.population, sim.days + 1)
     )
 
-    report = SimReport(
-        objectives={arm.name: arm.config.objective.value for arm in arms}
-    )
+    report = SimReport()
     for day in range(1, sim.days + 1):
         for arm in arms:
             events: list[InteractionEvent] = []
-            rngs = behavior[arm.name]
-            for u, user in enumerate(arm.users):
+            for user, rng in zip(arm.users, arm.rngs):
                 if not user.active:
                     continue
-                rng = rngs[u]
                 pool_idx = rng.choice(sim.catalog, size=sim.candidate_pool, replace=False)
                 pool = [item_ids[j] for j in pool_idx]
                 if arm.model is None:
@@ -393,19 +391,15 @@ def simulate_experiment(
 
             events.sort(key=lambda e: (e.user_id, e.timestamp))
             samples = arm.labeler.extend(events)
-            clicked = {
-                (e.user_id, e.timestamp): e.clicked for e in events
-            }
             tolerance_events = 0
-            user_index = {user.user_id: user for user in arm.users}
-            for sample in samples:
+            for event, sample in zip(events, samples):
                 if sample.label is Label.TOLERANCE:
-                    if not clicked[(sample.user_id, sample.timestamp)]:
+                    if not event.clicked:
                         raise AssertionError(
                             "labeler produced a tolerance label for a non-click"
                         )
                     tolerance_events += 1
-                update_trust(user_index[sample.user_id], sample.label, sim)
+                update_trust(arm.user_by_id[sample.user_id], sample.label, sim)
             arm.log.extend(samples)
 
             if arm.log:
@@ -421,7 +415,7 @@ def simulate_experiment(
                 user = arm.users[u]
                 next_active = bool(
                     return_draws[u, day - 1]
-                    < sim.return_curve.probability(user.trust)
+                    < RETURN_CURVE.probability(user.trust)
                 )
                 if user.active and next_active:
                     retained += 1
@@ -432,9 +426,6 @@ def simulate_experiment(
                     arm=arm.name,
                     active_users=len(active_now),
                     retention=retained / len(active_now) if active_now else 0.0,
-                    tolerance_rate=(
-                        tolerance_events / len(events) if events else 0.0
-                    ),
                     dwell_mean=(
                         sum(dwell.values()) / len(dwell) if dwell else 0.0
                     ),

@@ -352,6 +352,31 @@ def test_criterion_09_null_effect_without_trust_decay():
     assert ok
 
 
+def test_criterion_09_calibration_standard_vs_standard():
+    """A/A calibration for 09 at the default trust decay: two standard arms
+    whose models differ only in their train seed give paired deltas that
+    vary (SE > 0) and whose mean lies within 3 SE of zero."""
+    deltas = []
+    for seed in range(10):
+        rep = simulate_experiment(
+            sim_train_config(Objective.STANDARD, seed),
+            sim_train_config(Objective.STANDARD, seed + 1000),
+            SimConfig(seed=seed),
+        )
+        deltas.append(rep.average_retention_delta())
+    positive = sum(delta > 0 for delta in deltas)
+    mean, se = mean_and_se(deltas)
+    ok = se > 0 and abs(mean) <= 3.0 * se
+    report(
+        9,
+        ok,
+        f"A/A calibration, standard vs standard (arm B train seed + 1000): "
+        f"mean delta {mean:+.4f}, SE {se:.4f}, |mean| <= 3 x SE and SE > 0; "
+        f"positive in {positive}/10 seeds",
+    )
+    assert ok
+
+
 def test_criterion_10_end_to_end_determinism(tmp_path):
     """The full label -> train -> analyze -> simulate -> report pipeline is
     byte-identical across two runs on the bundled 10k-event corpus."""

@@ -234,6 +234,24 @@ class TestConfigFile:
         )
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, buckets, field",
+        [
+            ("label", "60,nan", "duration_bucket_edges"),
+            ("label", "nan", "duration_bucket_edges"),
+            ("analyze", "0.5,nan", "bucket_edges"),
+        ],
+    )
+    def test_nan_bucket_edge_fails_naming_field(
+        self, tmp_path, capsys, event_file, command, buckets, field
+    ):
+        argv = [command, "--events", event_file, "--out", tmp_path / "out"]
+        if command == "analyze":
+            argv += ["--ref", "2024-06-01..2024-06-08", "--inv", "2024-06-08..2024-06-15"]
+        assert run(*argv, "--buckets", buckets) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [event_file.name]
+        assert field in capsys.readouterr().err
+
     def test_inf_means_no_cap(self):
         argv = ["label", "--out", "o", "--events", "e", "--ratio-cap", "inf"]
         assert _resolve(build_parser().parse_args(argv))["ratio_cap"] == float("inf")

@@ -189,6 +189,16 @@ class TestAnalyze:
                 platform=Platform.VIDEO,
             )
 
+    @pytest.mark.parametrize(
+        "edges", [(0.5, float("nan")), (float("nan"),), (0.5, 0.5), (0.9, 0.5)]
+    )
+    def test_rejects_nan_or_unordered_edges(self, edges):
+        with pytest.raises(ValueError, match="bucket_edges"):
+            self.config(Platform.VIDEO, edges)
+
+    def test_accepts_infinite_edge(self):
+        assert self.config(edges=(10.0, float("inf"))).effective_edges[-1] == float("inf")
+
     def test_video_panel_declines_fall_as_ratio_rises(self, rng):
         """Higher mean watch ratio means less tolerance, so on synthetic
         video logs built that way the decline proportion is non-increasing

@@ -104,6 +104,26 @@ ORACLE_CONFIGS = [
 ]
 
 
+class TestLabelingConfig:
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            (60.0, float("nan")),
+            (float("nan"),),
+            (float("nan"), 60.0),
+            (300.0, 60.0),
+            (60.0, 60.0),
+        ],
+    )
+    def test_rejects_nan_or_unordered_edges(self, edges):
+        with pytest.raises(ValueError, match="duration_bucket_edges"):
+            LabelingConfig(duration_bucket_edges=edges)
+
+    @pytest.mark.parametrize("edges", [(), (60.0,), (60.0, float("inf"))])
+    def test_accepts_ascending_edges(self, edges):
+        assert LabelingConfig(duration_bucket_edges=edges).bucket_count == len(edges) + 1
+
+
 class TestWatchRatio:
     def test_direct_ratio(self):
         assert watch_ratio(video_event(watch=5, duration=10)) == 0.5

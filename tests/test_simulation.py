@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tolrec import simulation
 from tolrec.events import Platform
-from tolrec.labeling import Label, LabelingConfig, label_log
+from tolrec.labeling import CausalLabeler, Label, LabelingConfig, label_log
 from tolrec.simulation import (
     ReturnCurve,
     SimConfig,
@@ -96,7 +99,7 @@ class TestUserResponse:
         # Point the item's surface directly away from the user's taste.
         hostile = type(item)(
             item_id=item.item_id,
-            surface=-20.0 * user.surface_attraction,
+            surface=-20.0 * user.true_affinity,
             true_content=item.true_content,
             duration=item.duration,
         )
@@ -148,7 +151,6 @@ class TestTrustDynamics:
         return SimUser(
             user_id="u0",
             true_affinity=np.zeros(4),
-            surface_attraction=np.zeros(4),
             patience=0.8,
             trust=trust,
         )
@@ -245,6 +247,21 @@ class TestSimulateExperiment:
             config,
         )
         assert report.rows  # the in-loop fidelity assert did not fire
+
+    def test_tolerance_label_on_non_click_fails_loudly(self, monkeypatch):
+        """The in-loop fidelity check fires when the labeler marks a
+        non-click as tolerance."""
+
+        class MislabelingLabeler(CausalLabeler):
+            def extend(self, events):
+                samples = super().extend(events)
+                k = next(i for i, e in enumerate(events) if not e.clicked)
+                samples[k] = replace(samples[k], label=Label.TOLERANCE, beta=0.0)
+                return samples
+
+        monkeypatch.setattr(simulation, "CausalLabeler", MislabelingLabeler)
+        with pytest.raises(AssertionError, match="non-click"):
+            simulate_experiment(train_config(), train_config(), small_sim(seed=2))
 
     def test_aligned_catalog_shows_no_tolerance(self):
         config = small_sim(seed=3, surface_true_correlation=1.0)
