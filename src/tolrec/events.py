@@ -8,11 +8,14 @@ Event files are UTF-8 text with one JSON object per line:
 Keys: ``user`` (string), ``item`` (string), ``ts`` (integer seconds),
 ``platform`` ("ecommerce" | "video"), ``clicked`` (boolean),
 ``watch`` (number, video only), ``duration`` (number, video only),
-``actions`` (array of strings, optional). Unknown keys and unknown action
-strings are rejected rather than dropped, so schema drift surfaces early.
+``actions`` (array of strings, optional). ``watch`` and ``duration`` must
+be finite: ``NaN`` and ``Infinity``, which JSON parsers accept, are
+rejected. Unknown keys and unknown action strings are rejected rather
+than dropped, so schema drift surfaces early.
 """
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,6 +35,12 @@ ACTION_VOCABULARY = frozenset(
 _EVENT_KEYS = frozenset(
     {"user", "item", "ts", "platform", "clicked", "watch", "duration", "actions"}
 )
+_PLATFORMS = {p.value: p for p in Platform}
+#: Shared by every event without follow-up actions.
+_NO_ACTIONS: frozenset[str] = frozenset()
+# Build a frozen dataclass instance field by field, without its checks.
+_new = object.__new__
+_set = object.__setattr__
 
 
 class EventValidationError(ValueError):
@@ -69,46 +78,50 @@ class InteractionEvent:
     clicked: bool
     watch_duration: float | None = None
     item_duration: float | None = None
-    followup_actions: frozenset[str] = frozenset()
+    followup_actions: frozenset[str] = _NO_ACTIONS
 
     def __post_init__(self):
-        if not self.user_id:
-            raise EventValidationError("user_id", "must be a nonempty string")
-        if not self.item_id:
-            raise EventValidationError("item_id", "must be a nonempty string")
-        if isinstance(self.timestamp, bool) or not isinstance(self.timestamp, int):
-            raise EventValidationError("timestamp", "must be an integer")
-        if self.platform is Platform.VIDEO:
-            if self.watch_duration is None:
-                raise EventValidationError(
-                    "watch_duration", "required for video events"
-                )
-            if self.item_duration is None:
-                raise EventValidationError(
-                    "item_duration", "required for video events"
-                )
-            if self.watch_duration < 0:
-                raise EventValidationError("watch_duration", "must be non-negative")
-            if self.item_duration <= 0:
-                raise EventValidationError("item_duration", "must be positive")
-        else:
-            if self.watch_duration is not None:
-                raise EventValidationError(
-                    "watch_duration", "only valid for video events"
-                )
-            if self.item_duration is not None:
-                raise EventValidationError(
-                    "item_duration", "only valid for video events"
-                )
-        unknown = self.followup_actions - ACTION_VOCABULARY
+        ts = self.timestamp
+        _check_event(self, not isinstance(ts, bool) and isinstance(ts, int))
+
+
+def _check_event(event: InteractionEvent, timestamp_is_int: bool = True) -> None:
+    """Raise :class:`EventValidationError` for the first broken invariant: the
+    checks of the public constructor and of :func:`parse_event` alike."""
+    if not event.user_id:
+        raise EventValidationError("user_id", "must be a nonempty string")
+    if not event.item_id:
+        raise EventValidationError("item_id", "must be a nonempty string")
+    if not timestamp_is_int:
+        raise EventValidationError("timestamp", "must be an integer")
+    watch, duration = event.watch_duration, event.item_duration
+    if event.platform is Platform.VIDEO:
+        if watch is None:
+            raise EventValidationError("watch_duration", "required for video events")
+        if duration is None:
+            raise EventValidationError("item_duration", "required for video events")
+        if watch < 0:
+            raise EventValidationError("watch_duration", "must be non-negative")
+        if duration <= 0:
+            raise EventValidationError("item_duration", "must be positive")
+        if not math.isfinite(watch):
+            raise EventValidationError("watch_duration", "must be finite")
+        if not math.isfinite(duration):
+            raise EventValidationError("item_duration", "must be finite")
+    else:
+        if watch is not None:
+            raise EventValidationError("watch_duration", "only valid for video events")
+        if duration is not None:
+            raise EventValidationError("item_duration", "only valid for video events")
+    actions = event.followup_actions
+    if actions:
+        unknown = actions - ACTION_VOCABULARY
         if unknown:
             raise EventValidationError(
                 "followup_actions", f"unknown actions {sorted(unknown)}"
             )
-        if self.followup_actions and not self.clicked:
-            raise EventValidationError(
-                "followup_actions", "actions require clicked=true"
-            )
+        if not event.clicked:
+            raise EventValidationError("followup_actions", "actions require clicked=true")
 
 
 @dataclass(frozen=True)
@@ -126,10 +139,11 @@ class TimeWindow:
         return self.start <= timestamp < self.end
 
 
-def _require(record: dict, key: str, line_number: int):
-    if key not in record:
-        raise EventParseError(line_number, f"missing key {key!r}")
-    return record[key]
+def _number(record: dict, key: str, line_number: int) -> float | None:
+    value = record.get(key)
+    if value is not None and type(value) is not float and type(value) is not int:
+        raise EventParseError(line_number, f"{key} must be a number")
+    return None if value is None else float(value)
 
 
 def parse_event(line: str, line_number: int = 0) -> InteractionEvent:
@@ -137,75 +151,82 @@ def parse_event(line: str, line_number: int = 0) -> InteractionEvent:
 
     Raises :class:`EventParseError` for malformed records and
     :class:`EventValidationError` when a well-formed record violates an
-    event invariant.
+    event invariant. Each check runs once; the event is then built
+    without running them again.
     """
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise EventParseError(line_number, f"invalid JSON ({exc.msg})") from exc
-    if not isinstance(record, dict):
+    if type(record) is not dict:
         raise EventParseError(line_number, "record must be a JSON object")
-    unknown = set(record) - _EVENT_KEYS
-    if unknown:
-        raise EventParseError(line_number, f"unknown keys {sorted(unknown)}")
-
-    user = _require(record, "user", line_number)
-    item = _require(record, "item", line_number)
-    ts = _require(record, "ts", line_number)
-    platform_raw = _require(record, "platform", line_number)
-    clicked = _require(record, "clicked", line_number)
-    if not isinstance(user, str) or not isinstance(item, str):
+    if not record.keys() <= _EVENT_KEYS:
+        unknown = sorted(record.keys() - _EVENT_KEYS)
+        raise EventParseError(line_number, f"unknown keys {unknown}")
+    try:
+        user, item, ts = record["user"], record["item"], record["ts"]
+        platform, clicked = record["platform"], record["clicked"]
+    except KeyError as exc:
+        raise EventParseError(line_number, f"missing key {exc.args[0]!r}") from None
+    # JSON values have exact builtin types: `type(x) is T` tells bool from int.
+    if type(user) is not str or type(item) is not str:
         raise EventParseError(line_number, "user and item must be strings")
-    if isinstance(ts, bool) or not isinstance(ts, int):
+    if type(ts) is not int:
         raise EventParseError(line_number, "ts must be an integer")
-    if not isinstance(clicked, bool):
+    if type(clicked) is not bool:
         raise EventParseError(line_number, "clicked must be a boolean")
     try:
-        platform = Platform(platform_raw)
-    except ValueError:
+        platform = _PLATFORMS[platform]
+    except (KeyError, TypeError):
         raise EventParseError(
             line_number, f"platform must be one of {[p.value for p in Platform]}"
         ) from None
+    actions = record.get("actions", _NO_ACTIONS)
+    if actions is not _NO_ACTIONS:
+        if type(actions) is not list or not all(type(a) is str for a in actions):
+            raise EventParseError(line_number, "actions must be an array of strings")
+        actions = frozenset(actions) if actions else _NO_ACTIONS
+    watch = _number(record, "watch", line_number)
+    duration = _number(record, "duration", line_number)
+    event = _new(InteractionEvent)
+    _set(event, "user_id", user)
+    _set(event, "item_id", item)
+    _set(event, "timestamp", ts)
+    _set(event, "platform", platform)
+    _set(event, "clicked", clicked)
+    _set(event, "watch_duration", watch)
+    _set(event, "item_duration", duration)
+    _set(event, "followup_actions", actions)
+    _check_event(event)
+    return event
 
-    def _number(key: str) -> float | None:
-        value = record.get(key)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise EventParseError(line_number, f"{key} must be a number")
-        return float(value)
 
-    actions = record.get("actions", [])
-    if not isinstance(actions, list) or not all(isinstance(a, str) for a in actions):
-        raise EventParseError(line_number, "actions must be an array of strings")
+_json_string = json.encoder.encode_basestring_ascii
 
-    return InteractionEvent(
-        user_id=user,
-        item_id=item,
-        timestamp=ts,
-        platform=platform,
-        clicked=clicked,
-        watch_duration=_number("watch"),
-        item_duration=_number("duration"),
-        followup_actions=frozenset(actions),
-    )
+
+def _json_number(value: float) -> str:
+    """``value`` as ``json.dumps`` writes it, which is the repr of a finite float."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 def event_to_json(event: InteractionEvent) -> str:
-    """Serialize an event to its one-line JSON form (round-trips exactly)."""
-    record: dict = {
-        "user": event.user_id,
-        "item": event.item_id,
-        "ts": event.timestamp,
-        "platform": event.platform.value,
-        "clicked": event.clicked,
-    }
+    """Serialize an event to its one-line JSON form (round-trips exactly),
+    byte for byte as ``json.dumps`` writes it with ``separators=(",", ":")``."""
+    text = (
+        f'{{"user":{_json_string(event.user_id)},"item":{_json_string(event.item_id)},'
+        f'"ts":{int.__repr__(event.timestamp)},"platform":"{event.platform.value}",'
+        f'"clicked":{"true" if event.clicked else "false"}'
+    )
     if event.platform is Platform.VIDEO:
-        record["watch"] = event.watch_duration
-        record["duration"] = event.item_duration
+        text += (
+            f',"watch":{_json_number(event.watch_duration)}'
+            f',"duration":{_json_number(event.item_duration)}'
+        )
     if event.followup_actions:
-        record["actions"] = sorted(event.followup_actions)
-    return json.dumps(record, separators=(",", ":"))
+        text += f',"actions":[{",".join(map(_json_string, sorted(event.followup_actions)))}]'
+    return text + "}"
 
 
 @dataclass

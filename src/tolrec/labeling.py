@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from .events import InteractionEvent, Platform
+from .events import _json_number, _json_string, _new, _set
 
 
 class Label(Enum):
@@ -411,27 +412,54 @@ def _label(
 # ---------------------------------------------------------------------------
 
 
+_LABELS = {label.value: label for label in Label}
+
+
 def sample_to_json(sample: LabeledSample) -> str:
-    record: dict = {
-        "user": sample.user_id,
-        "item": sample.item_id,
-        "ts": sample.timestamp,
-        "label": sample.label.value,
-    }
-    if sample.beta is not None:
-        record["beta"] = sample.beta
-    return json.dumps(record, separators=(",", ":"))
-
-
-def parse_sample(line: str) -> LabeledSample:
-    record = json.loads(line)
-    return LabeledSample(
-        user_id=record["user"],
-        item_id=record["item"],
-        timestamp=record["ts"],
-        label=Label(record["label"]),
-        beta=record.get("beta"),
+    """One-line JSON form, the bytes of ``json.dumps(record, separators=(",", ":"))``."""
+    beta = "" if sample.beta is None else f',"beta":{_json_number(sample.beta)}'
+    return (
+        f'{{"user":{_json_string(sample.user_id)},"item":{_json_string(sample.item_id)},'
+        f'"ts":{int.__repr__(sample.timestamp)},"label":"{sample.label.value}"{beta}}}'
     )
+
+
+def _bad_line(line_number: int, message: str) -> ValueError:
+    return ValueError(f"line {line_number}: {message}")
+
+
+def parse_sample(line: str, line_number: int = 0) -> LabeledSample:
+    """Parse one sample record, checked once and then built without running
+    :class:`LabeledSample`'s checks again; a rejection names the line."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _bad_line(line_number, f"invalid JSON ({exc.msg})") from None
+    if type(record) is not dict:
+        raise _bad_line(line_number, "record must be a JSON object")
+    try:
+        user, item, ts, label = record["user"], record["item"], record["ts"], record["label"]
+    except KeyError as exc:
+        raise _bad_line(line_number, f"missing key {exc.args[0]!r}") from None
+    kind = _LABELS.get(label) if type(label) is str else None
+    if kind is None:
+        raise _bad_line(line_number, f"unknown label {label!r}")
+    beta = record.get("beta")
+    if kind is Label.TOLERANCE:
+        if beta is None:
+            raise _bad_line(line_number, "label 'T' needs a beta")
+        if (type(beta) is not float and type(beta) is not int) or not 0.0 <= beta <= 1.0:
+            raise _bad_line(line_number, f"beta {beta!r} outside [0, 1]")
+    elif beta is not None:
+        raise _bad_line(line_number, f"beta given for label {label!r}")
+
+    sample = _new(LabeledSample)
+    _set(sample, "user_id", user)
+    _set(sample, "item_id", item)
+    _set(sample, "timestamp", ts)
+    _set(sample, "label", kind)
+    _set(sample, "beta", beta)
+    return sample
 
 
 def write_samples(path: str | Path, samples: list[LabeledSample]) -> None:
@@ -442,20 +470,17 @@ def write_samples(path: str | Path, samples: list[LabeledSample]) -> None:
 
 def read_samples(path: str | Path) -> list[LabeledSample]:
     with open(path, encoding="utf-8") as handle:
-        return [parse_sample(line) for line in handle if line.strip()]
+        numbered = enumerate(handle, start=1)
+        return [parse_sample(line, number) for number, line in numbered if line.strip()]
 
 
 def write_profiles(path: str | Path, profiles: dict[str, UserProfile]) -> None:
     """Snapshot profiles as one record per (user, bucket)."""
     with open(path, "w", encoding="utf-8") as handle:
         for user_id in sorted(profiles):
-            profile = profiles[user_id]
-            for bucket in sorted(profile.buckets):
-                stats = profile.buckets[bucket]
-                record = {
-                    "user": user_id,
-                    "bucket": bucket,
-                    "count": stats.count,
-                    "mean": stats.mean,
-                }
-                handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+            for bucket, stats in sorted(profiles[user_id].buckets.items()):
+                handle.write(
+                    f'{{"user":{_json_string(user_id)},"bucket":{int.__repr__(bucket)},'
+                    f'"count":{int.__repr__(stats.count)},'
+                    f'"mean":{_json_number(stats.mean)}}}\n'
+                )

@@ -5,11 +5,18 @@ recomputation, coordinate-wise finite differences, relabeled copies)
 rather than sharing code with the implementations they verify.
 """
 
+import json
 from bisect import bisect_left
 
 import numpy as np
 
-from tolrec.events import InteractionEvent, Platform
+from tolrec.events import (
+    ACTION_VOCABULARY,
+    EventParseError,
+    EventValidationError,
+    InteractionEvent,
+    Platform,
+)
 from tolrec.labeling import (
     GLOBAL_MEAN_SEED,
     BucketStats,
@@ -405,3 +412,179 @@ def reference_train(
             _reference_step(model, batch, config)
         history.append(_reference_loss(model, samples, config))
     return TrainResult(model=model, history=history)
+
+
+# ---------------------------------------------------------------------------
+# The record path as it was before it was checked once and formatted by hand:
+# every record went through ``json.dumps`` and the validating constructors.
+# ---------------------------------------------------------------------------
+
+
+def _reference_event_invariants(event: InteractionEvent) -> None:
+    """``InteractionEvent.__post_init__`` as it was: no finite-number rule."""
+    if not event.user_id:
+        raise EventValidationError("user_id", "must be a nonempty string")
+    if not event.item_id:
+        raise EventValidationError("item_id", "must be a nonempty string")
+    if isinstance(event.timestamp, bool) or not isinstance(event.timestamp, int):
+        raise EventValidationError("timestamp", "must be an integer")
+    if event.platform is Platform.VIDEO:
+        if event.watch_duration is None:
+            raise EventValidationError("watch_duration", "required for video events")
+        if event.item_duration is None:
+            raise EventValidationError("item_duration", "required for video events")
+        if event.watch_duration < 0:
+            raise EventValidationError("watch_duration", "must be non-negative")
+        if event.item_duration <= 0:
+            raise EventValidationError("item_duration", "must be positive")
+    else:
+        if event.watch_duration is not None:
+            raise EventValidationError("watch_duration", "only valid for video events")
+        if event.item_duration is not None:
+            raise EventValidationError("item_duration", "only valid for video events")
+    unknown = event.followup_actions - ACTION_VOCABULARY
+    if unknown:
+        raise EventValidationError(
+            "followup_actions", f"unknown actions {sorted(unknown)}"
+        )
+    if event.followup_actions and not event.clicked:
+        raise EventValidationError("followup_actions", "actions require clicked=true")
+
+
+def _reference_require(record: dict, key: str, line_number: int):
+    if key not in record:
+        raise EventParseError(line_number, f"missing key {key!r}")
+    return record[key]
+
+
+def reference_parse_event(line: str, line_number: int = 0) -> InteractionEvent:
+    """``parse_event`` as it was: type checks here, then the event
+    invariants, with the fields set directly so that the current
+    constructor's checks play no part."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise EventParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise EventParseError(line_number, "record must be a JSON object")
+    unknown = set(record) - {
+        "user", "item", "ts", "platform", "clicked", "watch", "duration", "actions"
+    }
+    if unknown:
+        raise EventParseError(line_number, f"unknown keys {sorted(unknown)}")
+
+    user = _reference_require(record, "user", line_number)
+    item = _reference_require(record, "item", line_number)
+    ts = _reference_require(record, "ts", line_number)
+    platform_raw = _reference_require(record, "platform", line_number)
+    clicked = _reference_require(record, "clicked", line_number)
+    if not isinstance(user, str) or not isinstance(item, str):
+        raise EventParseError(line_number, "user and item must be strings")
+    if isinstance(ts, bool) or not isinstance(ts, int):
+        raise EventParseError(line_number, "ts must be an integer")
+    if not isinstance(clicked, bool):
+        raise EventParseError(line_number, "clicked must be a boolean")
+    try:
+        platform = Platform(platform_raw)
+    except ValueError:
+        raise EventParseError(
+            line_number, f"platform must be one of {[p.value for p in Platform]}"
+        ) from None
+
+    def _number(key: str) -> float | None:
+        value = record.get(key)
+        if value is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise EventParseError(line_number, f"{key} must be a number")
+        return float(value)
+
+    actions = record.get("actions", [])
+    if not isinstance(actions, list) or not all(isinstance(a, str) for a in actions):
+        raise EventParseError(line_number, "actions must be an array of strings")
+
+    fields = dict(
+        user_id=user,
+        item_id=item,
+        timestamp=ts,
+        platform=platform,
+        clicked=clicked,
+        watch_duration=_number("watch"),
+        item_duration=_number("duration"),
+        followup_actions=frozenset(actions),
+    )
+    event = object.__new__(InteractionEvent)
+    for name, value in fields.items():
+        object.__setattr__(event, name, value)
+    _reference_event_invariants(event)
+    return event
+
+
+def reference_ingest(path) -> tuple[list[InteractionEvent], list[tuple[int, str]]]:
+    """Serial ``ingest_log`` over :func:`reference_parse_event`: the sorted
+    events and the ``(line, message)`` rejections."""
+    events, rejected = [], []
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                events.append(reference_parse_event(line, number))
+            except (EventParseError, EventValidationError) as exc:
+                rejected.append((number, str(exc)))
+    events.sort(key=lambda e: (e.user_id, e.timestamp))
+    return events, rejected
+
+
+def reference_event_to_json(event: InteractionEvent) -> str:
+    record: dict = {
+        "user": event.user_id,
+        "item": event.item_id,
+        "ts": event.timestamp,
+        "platform": event.platform.value,
+        "clicked": event.clicked,
+    }
+    if event.platform is Platform.VIDEO:
+        record["watch"] = event.watch_duration
+        record["duration"] = event.item_duration
+    if event.followup_actions:
+        record["actions"] = sorted(event.followup_actions)
+    return json.dumps(record, separators=(",", ":"))
+
+
+def reference_sample_to_json(sample: LabeledSample) -> str:
+    record: dict = {
+        "user": sample.user_id,
+        "item": sample.item_id,
+        "ts": sample.timestamp,
+        "label": sample.label.value,
+    }
+    if sample.beta is not None:
+        record["beta"] = sample.beta
+    return json.dumps(record, separators=(",", ":"))
+
+
+def reference_parse_sample(line: str) -> LabeledSample:
+    record = json.loads(line)
+    return LabeledSample(
+        user_id=record["user"],
+        item_id=record["item"],
+        timestamp=record["ts"],
+        label=Label(record["label"]),
+        beta=record.get("beta"),
+    )
+
+
+def reference_write_profiles(path, profiles: dict[str, UserProfile]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for user_id in sorted(profiles):
+            profile = profiles[user_id]
+            for bucket in sorted(profile.buckets):
+                stats = profile.buckets[bucket]
+                record = {
+                    "user": user_id,
+                    "bucket": bucket,
+                    "count": stats.count,
+                    "mean": stats.mean,
+                }
+                handle.write(json.dumps(record, separators=(",", ":")) + "\n")

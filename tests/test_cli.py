@@ -59,6 +59,24 @@ class TestLabelCommand:
         ) == 0
         assert serial.read_bytes() == threaded.read_bytes()
 
+    def test_non_finite_watch_is_a_rejected_line(self, tmp_path, capsys):
+        """A NaN watch time is counted as a rejected line instead of
+        reaching the labeler and poisoning the user's bucket mean."""
+        lines = [
+            json.dumps({"user": "u1", "item": f"v{k}", "ts": k, "platform": "video",
+                        "clicked": True, "watch": 1.0 + k, "duration": 20.0})
+            for k in range(16)
+        ]
+        lines[7] = lines[7].replace('"watch": 8.0', '"watch": NaN')
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "samples.jsonl"
+        assert run("label", "--events", events, "--out", out) == 0
+        assert "rejected 1 malformed lines" in capsys.readouterr().err
+        samples = out.read_text().splitlines()
+        assert len(samples) == 15
+        assert not any("NaN" in line or "nan" in line for line in samples)
+
     def test_flags_override_defaults(self, tmp_path, event_file):
         out = tmp_path / "samples.jsonl"
         assert run(
@@ -299,6 +317,22 @@ class TestTrainCommand:
         ) == 1
         assert not model.exists()
         assert not (tmp_path / "model.txt.history.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"item":"i1","ts":5,"label":"P"}', "line 2: missing key 'user'"),
+            ('{"user":"u1","item":"i1","ts":5,"label":"X"}', "line 2: unknown label 'X'"),
+        ],
+    )
+    def test_bad_sample_fails_naming_line(self, tmp_path, capsys, record, message):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text('{"user":"u1","item":"i1","ts":1,"label":"N"}\n' + record + "\n")
+        model = tmp_path / "model.txt"
+        assert run("train", "--samples", samples, "--out", model) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.jsonl"]
 
 
 class TestAnalyzeCommand:

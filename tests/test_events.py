@@ -63,6 +63,42 @@ def test_parse_error_carries_line_number():
         parse_event("{not json", line_number=7)
 
 
+@pytest.mark.parametrize(
+    "numbers, name",
+    [
+        ('"watch":NaN,"duration":10', "watch_duration"),
+        ('"watch":Infinity,"duration":Infinity', "watch_duration"),
+        ('"watch":3,"duration":Infinity', "item_duration"),
+        ('"watch":3,"duration":NaN', "item_duration"),
+    ],
+)
+def test_ingest_rejects_non_finite_numbers(tmp_path, numbers, name):
+    good = (
+        '{"user":"u1","item":"v1","ts":%d,"platform":"video","clicked":true,'
+        '"watch":3,"duration":10}'
+    )
+    bad = '{"user":"u1","item":"v2","ts":9,"platform":"video","clicked":true,%s}'
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join([good % 1, bad % numbers, good % 2]) + "\n")
+    result = ingest_log(path)
+    assert [e.timestamp for e in result.events] == [1, 2]
+    assert result.rejected == [(2, f"{name}: must be finite")]
+
+
+@pytest.mark.parametrize(
+    "watch, duration, name",
+    [
+        (float("nan"), 10.0, "watch_duration"),
+        (float("inf"), 10.0, "watch_duration"),
+        (3.0, float("inf"), "item_duration"),
+        (3.0, float("nan"), "item_duration"),
+    ],
+)
+def test_constructor_rejects_non_finite_numbers(watch, duration, name):
+    with pytest.raises(EventValidationError, match=f"{name}: must be finite"):
+        InteractionEvent("u1", "v1", 1, Platform.VIDEO, True, watch, duration)
+
+
 def test_unknown_action_rejected():
     line = (
         '{"user":"u1","item":"i1","ts":1,"platform":"ecommerce",'

@@ -15,6 +15,7 @@ from tolrec.labeling import (
     label_event,
     label_log,
     parse_sample,
+    read_samples,
     sample_to_json,
     tolerance_weight,
     update_profile,
@@ -533,3 +534,40 @@ class TestSampleSerialization:
             LabeledSample("u1", "i1", 1, Label.POSITIVE, beta=0.5)
         with pytest.raises(ValueError):
             LabeledSample("u1", "i1", 1, Label.TOLERANCE)
+
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"item":"i1","ts":5,"label":"P"}', "line 3: missing key 'user'"),
+            ('{"user":"u1","item":"i1","ts":5}', "line 3: missing key 'label'"),
+            ('{"user":"u1","item":"i1","ts":5,"label":"X"}', "line 3: unknown label 'X'"),
+            ('{"user":"u1","item":"i1","ts":5,"label":["T"]}', "line 3: unknown label ['T']"),
+            (
+                '{"user":"u1","item":"i1","ts":5,"label":"P","beta":0.5}',
+                "line 3: beta given for label 'P'",
+            ),
+            ('{"user":"u1","item":"i1","ts":5,"label":"T"}', "line 3: label 'T' needs a beta"),
+            (
+                '{"user":"u1","item":"i1","ts":5,"label":"T","beta":1.5}',
+                "line 3: beta 1.5 outside [0, 1]",
+            ),
+            (
+                '{"user":"u1","item":"i1","ts":5,"label":"T","beta":NaN}',
+                "line 3: beta nan outside [0, 1]",
+            ),
+            (
+                '{"user":"u1","item":"i1","ts":5,"label":"T","beta":"0.5"}',
+                "line 3: beta '0.5' outside [0, 1]",
+            ),
+            ('{"user":"u1"', "line 3: invalid JSON"),
+            ('["u1","i1",5,"P"]', "line 3: record must be a JSON object"),
+        ],
+    )
+    def test_read_rejects_naming_line(self, tmp_path, record, message):
+        good = sample_to_json(LabeledSample("u1", "i1", 1, Label.NEGATIVE))
+        path = tmp_path / "samples.jsonl"
+        path.write_text(f"{good}\n\n{record}\n{good}\n")
+        with pytest.raises(ValueError) as caught:
+            read_samples(path)
+        assert str(caught.value).startswith(message)

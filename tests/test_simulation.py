@@ -236,17 +236,38 @@ class TestSimulateExperiment:
             assert row_a.retention == row_b.retention
             assert row_a.active_users == row_b.active_users
 
-    def test_labels_agree_with_streaming_labeler(self):
-        """Re-labeling an arm's accumulated simulated log from scratch
-        reproduces the labels the simulator acted on: every tolerance label
-        corresponds to a clicked event."""
+    def test_labels_agree_with_streaming_labeler(self, monkeypatch):
+        """Re-labeling an arm's accumulated simulated log from scratch in
+        one pass reproduces the labels the simulator acted on, day by day."""
+        labelers = []
+
+        class RecordingLabeler(CausalLabeler):
+            def __init__(self, config):
+                super().__init__(config)
+                self.seen = []
+                self.batches = 0
+                labelers.append(self)
+
+            def extend(self, events):
+                samples = super().extend(events)
+                self.seen += zip(events, samples)
+                self.batches += 1
+                return samples
+
+        monkeypatch.setattr(simulation, "CausalLabeler", RecordingLabeler)
         config = small_sim(seed=2)
-        report = simulate_experiment(
+        simulate_experiment(
             train_config(Objective.STANDARD),
             train_config(Objective.TOLERANCE_AS_NEGATIVE),
             config,
         )
-        assert report.rows  # the in-loop fidelity assert did not fire
+        assert len(labelers) == 2
+        for labeler in labelers:
+            assert labeler.batches == config.days
+            seen = sorted(labeler.seen, key=lambda pair: (pair[0].user_id, pair[0].timestamp))
+            events = [event for event, _ in seen]
+            relabeled = label_log(events, config.labeling).samples
+            assert relabeled == [sample for _, sample in seen]
 
     def test_tolerance_label_on_non_click_fails_loudly(self, monkeypatch):
         """The in-loop fidelity check fires when the labeler marks a
