@@ -9,9 +9,10 @@ Keys: ``user`` (string), ``item`` (string), ``ts`` (integer seconds),
 ``platform`` ("ecommerce" | "video"), ``clicked`` (boolean),
 ``watch`` (number, video only), ``duration`` (number, video only),
 ``actions`` (array of strings, optional). ``watch`` and ``duration`` must
-be finite: ``NaN`` and ``Infinity``, which JSON parsers accept, are
-rejected. Unknown keys and unknown action strings are rejected rather
-than dropped, so schema drift surfaces early.
+be finite: ``NaN`` and ``Infinity``, which JSON parsers accept, and
+integers too large for a float are rejected. Unknown keys and unknown
+action strings are rejected rather than dropped, so schema drift
+surfaces early.
 """
 
 import json
@@ -141,9 +142,14 @@ class TimeWindow:
 
 def _number(record: dict, key: str, line_number: int) -> float | None:
     value = record.get(key)
-    if value is not None and type(value) is not float and type(value) is not int:
+    if value is None or type(value) is float:
+        return value
+    if type(value) is not int:
         raise EventParseError(line_number, f"{key} must be a number")
-    return None if value is None else float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise EventParseError(line_number, f"{key} must be a finite number") from None
 
 
 def parse_event(line: str, line_number: int = 0) -> InteractionEvent:

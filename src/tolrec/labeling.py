@@ -441,6 +441,10 @@ def parse_sample(line: str, line_number: int = 0) -> LabeledSample:
         user, item, ts, label = record["user"], record["item"], record["ts"], record["label"]
     except KeyError as exc:
         raise _bad_line(line_number, f"missing key {exc.args[0]!r}") from None
+    if type(user) is not str or type(item) is not str:
+        raise _bad_line(line_number, "user and item must be strings")
+    if type(ts) is not int:
+        raise _bad_line(line_number, "ts must be an integer")
     kind = _LABELS.get(label) if type(label) is str else None
     if kind is None:
         raise _bad_line(line_number, f"unknown label {label!r}")

@@ -19,7 +19,8 @@ SGD with a seeded init and shuffle so runs are bit-reproducible.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -70,24 +71,46 @@ class TrainConfig:
 
 def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows. ``np.minimum`` returns a NaN ``z`` itself,
+    # so even its sign bit matches the branch a mask would take.
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def _block(users: bool, factors: bool) -> property:
+    """The model's users' or items' factors or biases, a view of its table.
+
+    Assigning to the property writes the values into the table."""
+
+    def get(model: "RankingModel") -> np.ndarray:
+        n = len(model.users)
+        rows = slice(None, n) if users else slice(n, None)
+        return model.table[rows, :-1] if factors else model.table[rows, -1]
+
+    def put(model: "RankingModel", value) -> None:
+        get(model)[...] = value
+
+    return property(get, put)
 
 
 @dataclass
 class RankingModel:
+    """Every parameter but the global bias lives in one packed ``table``:
+    a row per user, then a row per item, each holding the id's factors and
+    then its bias in the last column. ``users`` and ``items`` map ids to
+    rows within their own block."""
+
     dimension: int
     users: dict[str, int]
     items: dict[str, int]
-    user_factors: np.ndarray  # (n_users, dimension)
-    item_factors: np.ndarray  # (n_items, dimension)
-    user_bias: np.ndarray  # (n_users,)
-    item_bias: np.ndarray  # (n_items,)
+    table: np.ndarray  # (n_users + n_items, dimension + 1)
     global_bias: float
+
+    user_factors = _block(users=True, factors=True)  # (n_users, dimension)
+    item_factors = _block(users=False, factors=True)  # (n_items, dimension)
+    user_bias = _block(users=True, factors=False)  # (n_users,)
+    item_bias = _block(users=False, factors=False)  # (n_items,)
 
     @classmethod
     def initialize(
@@ -101,29 +124,23 @@ class RankingModel:
         users = {u: i for i, u in enumerate(sorted(set(user_ids)))}
         items = {it: i for i, it in enumerate(sorted(set(item_ids)))}
         scale = 0.01
+        rows = len(users) + len(items)
+        # The generator fills arrays element by element, so one draw over
+        # users then items equals a draw per block: user factors, item
+        # factors, user biases, item biases, then the global bias.
+        factors = rng.uniform(-scale, scale, (rows, dimension))
+        table = np.column_stack((factors, rng.uniform(-scale, scale, rows)))
         return cls(
             dimension=dimension,
             users=users,
             items=items,
-            user_factors=rng.uniform(-scale, scale, (len(users), dimension)),
-            item_factors=rng.uniform(-scale, scale, (len(items), dimension)),
-            user_bias=rng.uniform(-scale, scale, len(users)),
-            item_bias=rng.uniform(-scale, scale, len(items)),
+            table=table,
             global_bias=float(rng.uniform(-scale, scale)),
         )
 
     def raw_score(self, user_id: str, item_id: str) -> float:
         """Pre-sigmoid score; unknown ids contribute zeros."""
-        z = self.global_bias
-        u = self.users.get(user_id)
-        i = self.items.get(item_id)
-        if u is not None:
-            z += self.user_bias[u]
-        if i is not None:
-            z += self.item_bias[i]
-        if u is not None and i is not None:
-            z += float(self.user_factors[u] @ self.item_factors[i])
-        return z
+        return self._scorer(user_id)(item_id)
 
     def predict(self, user_id: str, item_id: str) -> float:
         return float(sigmoid(self.raw_score(user_id, item_id)))
@@ -132,17 +149,39 @@ class RankingModel:
         """Candidates by descending score, ties broken by ascending item id."""
         if not candidates:
             raise ValueError("candidate set must be nonempty")
-        return sorted(candidates, key=lambda it: (-self.raw_score(user_id, it), it))
+        score = self._scorer(user_id)
+        return sorted(candidates, key=lambda it: (-score(it), it))
+
+    def _scorer(self, user_id: str) -> Callable[[str], float]:
+        """:meth:`raw_score` for one user, with the user's row looked up once.
+
+        Adds the global bias, the user's bias, the item's bias and the dot
+        product, in that order."""
+        factors, bias = self.table[:, :-1], self.table[:, -1]
+        items, first_item = self.items, len(self.users)
+        base = self.global_bias
+        u = self.users.get(user_id)
+        if u is not None:
+            base += bias[u]
+            user = factors[u]
+
+        def score(item_id: str) -> float:
+            i = items.get(item_id)
+            if i is None:
+                return base
+            z = base + bias[first_item + i]
+            if u is not None:
+                z += float(user @ factors[first_item + i])
+            return z
+
+        return score
 
     def copy(self) -> "RankingModel":
         return RankingModel(
             dimension=self.dimension,
             users=dict(self.users),
             items=dict(self.items),
-            user_factors=self.user_factors.copy(),
-            item_factors=self.item_factors.copy(),
-            user_bias=self.user_bias.copy(),
-            item_bias=self.item_bias.copy(),
+            table=self.table.copy(),
             global_bias=self.global_bias,
         )
 
@@ -158,27 +197,29 @@ class Gradient:
     global_bias: float
 
 
-#: Columnar samples: (user index, item index, positive weight, is_positive).
-Encoded = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: Columnar samples: table rows (2, n) of each sample's user and item,
+#: positive weight, is_positive.
+Encoded = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _encode(
     model: RankingModel, samples: list[LabeledSample], config: TrainConfig
 ) -> Encoded:
-    """Map samples to (user index, item index, positive weight, is_positive).
+    """Map samples to (table rows, positive weight, is_positive).
 
     A sample with ``is_positive`` contributes ``-w * log(score)``; otherwise
     ``-log(1 - score)``. Weights encode the objective's handling of
     tolerance samples.
     """
     n = len(samples)
-    u_idx = np.empty(n, dtype=np.intp)
-    i_idx = np.empty(n, dtype=np.intp)
+    rows = np.empty((2, n), dtype=np.intp)
+    user_rows, item_rows = rows
+    first_item = len(model.users)
     weight = np.ones(n, dtype=np.float64)
     positive = np.empty(n, dtype=bool)
     for k, sample in enumerate(samples):
-        u_idx[k] = model.users[sample.user_id]
-        i_idx[k] = model.items[sample.item_id]
+        user_rows[k] = model.users[sample.user_id]
+        item_rows[k] = first_item + model.items[sample.item_id]
         if sample.label is Label.POSITIVE:
             positive[k] = True
         elif sample.label is Label.NEGATIVE:
@@ -198,18 +239,7 @@ def _encode(
                             "tolerance sample lacks beta; supply fixed_beta or "
                             "label with per-sample weights"
                         )
-    return u_idx, i_idx, weight, positive
-
-
-def _raw_scores(model: RankingModel, u_idx, i_idx) -> np.ndarray:
-    return (
-        model.global_bias
-        + model.user_bias[u_idx]
-        + model.item_bias[i_idx]
-        + np.einsum(
-            "ij,ij->i", model.user_factors[u_idx], model.item_factors[i_idx]
-        )
-    )
+    return rows, weight, positive
 
 
 def _l2_penalty(model: RankingModel, l2: float) -> float:
@@ -224,8 +254,16 @@ def _l2_penalty(model: RankingModel, l2: float) -> float:
 
 
 def _loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
-    u_idx, i_idx, weight, positive = encoded
-    z = _raw_scores(model, u_idx, i_idx)
+    (user_rows, item_rows), weight, positive = encoded
+    factors, bias = model.table[:, :-1], model.table[:, -1]
+    # Gathered through the views, one block at a time, so that no
+    # (n, dimension + 1) copy of the samples' rows is ever alive.
+    z = (
+        model.global_bias
+        + bias[user_rows]
+        + bias[item_rows]
+        + np.einsum("ij,ij->i", factors[user_rows], factors[item_rows])
+    )
     # -log(sigmoid(z)) and -log(1 - sigmoid(z)) without forming sigmoid.
     terms = np.where(
         positive, weight * np.logaddexp(0.0, -z), np.logaddexp(0.0, z)
@@ -233,46 +271,40 @@ def _loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
     return float(np.mean(terms)) + _l2_penalty(model, l2)
 
 
-def _scatter(idx: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
-    """Sum the rows of ``values`` into ``rows`` bins by ``idx``.
+def _gradient(
+    model: RankingModel, pairs, weight, positive, l2: float
+) -> tuple[np.ndarray, float]:
+    """Gradient of the loss over a batch: one array shaped like
+    ``model.table``, and the global bias's. ``pairs`` holds each sample's
+    user row and item row, (batch, 2).
 
     ``np.bincount`` adds each bin's weights in input order starting from
-    zero, exactly as ``np.add.at`` into zeros does, so the sums are
-    bit-equal to it. A 2-D ``values`` is scattered in one call, entry
-    ``(k, j)`` going to bin ``idx[k] * width + j``.
-    """
-    if values.ndim == 1:
-        return np.bincount(idx, values, minlength=rows)
-    width = values.shape[1]
-    bins = (idx[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(bins, values.ravel(), minlength=rows * width)
-    return sums.reshape(rows, width)
-
-
-def _gradient(model: RankingModel, encoded: Encoded, l2: float) -> Gradient:
-    u_idx, i_idx, weight, positive = encoded
-    z = _raw_scores(model, u_idx, i_idx)
+    zero, exactly as ``np.add.at`` into zeros does, so every sum is
+    bit-equal to scattering each parameter array on its own."""
+    table = model.table
+    width = table.shape[1]
+    # Each sample's item row, then its user row: (batch, 2, dimension + 1).
+    gathered = table.take(pairs[:, ::-1], axis=0)
+    items, users = gathered[:, 0], gathered[:, 1]
+    z = (
+        model.global_bias
+        + users[:, -1]
+        + items[:, -1]
+        + np.einsum("ij,ij->i", users[:, :-1], items[:, :-1])
+    )
     y_hat = sigmoid(z)
     # d(term)/dz: w * (y_hat - 1) for positives, y_hat for negatives.
-    dz = np.where(positive, weight * (y_hat - 1.0), y_hat) / len(u_idx)
-
-    n_users, n_items = len(model.user_bias), len(model.item_bias)
-    g_user_bias = _scatter(u_idx, dz, n_users)
-    g_item_bias = _scatter(i_idx, dz, n_items)
-    g_user_factors = _scatter(u_idx, dz[:, None] * model.item_factors[i_idx], n_users)
-    g_item_factors = _scatter(i_idx, dz[:, None] * model.user_factors[u_idx], n_items)
+    dz = np.where(positive, weight * (y_hat - 1.0), y_hat) / len(pairs)
+    # A user's gradient is dz times its item's row, and the reverse; with
+    # the bias column at 1.0, each bias gets exactly dz.
+    gathered[..., -1] = 1.0
+    gathered *= dz[:, None, None]
+    bins = (pairs * width)[..., None] + np.arange(width)
+    grad = np.bincount(bins.ravel(), gathered.ravel(), minlength=table.size)
+    grad = grad.reshape(table.shape)
     if l2:
-        g_user_factors += l2 * model.user_factors
-        g_item_factors += l2 * model.item_factors
-        g_user_bias += l2 * model.user_bias
-        g_item_bias += l2 * model.item_bias
-    return Gradient(
-        user_factors=g_user_factors,
-        item_factors=g_item_factors,
-        user_bias=g_user_bias,
-        item_bias=g_item_bias,
-        global_bias=float(np.sum(dz)),
-    )
+        grad += l2 * table
+    return grad, float(dz.sum())
 
 
 def loss(
@@ -290,7 +322,13 @@ def gradient(
     """Exact gradient of :func:`loss` for every parameter."""
     if not samples:
         raise ValueError("sample collection must be nonempty")
-    return _gradient(model, _encode(model, samples, config), config.l2)
+    rows, weight, positive = _encode(model, samples, config)
+    table, global_bias = _gradient(model, rows.T, weight, positive, config.l2)
+    packed = replace(model, table=table)
+    return Gradient(
+        packed.user_factors, packed.item_factors, packed.user_bias, packed.item_bias,
+        global_bias,
+    )
 
 
 @dataclass
@@ -320,33 +358,22 @@ def train(
     if init_model is not None:
         if init_model.dimension != config.dimension:
             raise ValueError("init_model dimension does not match config")
-        for user_id, old in init_model.users.items():
-            new = model.users.get(user_id)
-            if new is not None:
-                model.user_factors[new] = init_model.user_factors[old]
-                model.user_bias[new] = init_model.user_bias[old]
-        for item_id, old in init_model.items.items():
-            new = model.items.get(item_id)
-            if new is not None:
-                model.item_factors[new] = init_model.item_factors[old]
-                model.item_bias[new] = init_model.item_bias[old]
+        for old_ids, new_ids, old_first, new_first in (
+            (init_model.users, model.users, 0, 0),
+            (init_model.items, model.items, len(init_model.users), len(model.users)),
+        ):
+            for key, old in old_ids.items():
+                new = new_ids.get(key)
+                if new is not None:
+                    model.table[new_first + new] = init_model.table[old_first + old]
         model.global_bias = init_model.global_bias
 
     encoded = _encode(model, samples, config)
     history = [_loss(model, encoded, config.l2)]
     if not np.isfinite(history[0]):
         raise DivergenceError(0)
-    lr = config.learning_rate
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(samples))
-        for start in range(0, len(samples), config.batch_size):
-            rows = order[start : start + config.batch_size]
-            grad = _gradient(model, tuple(a[rows] for a in encoded), config.l2)
-            model.user_factors -= lr * grad.user_factors
-            model.item_factors -= lr * grad.item_factors
-            model.user_bias -= lr * grad.user_bias
-            model.item_bias -= lr * grad.item_bias
-            model.global_bias -= lr * grad.global_bias
+        _epoch(model, encoded, rng.permutation(len(samples)), config)
         epoch_loss = _loss(model, encoded, config.l2)
         if not np.isfinite(epoch_loss) or not _finite_parameters(model):
             raise DivergenceError(epoch)
@@ -354,14 +381,28 @@ def train(
     return TrainResult(model=model, history=history)
 
 
+def _epoch(
+    model: RankingModel, encoded: Encoded, order: np.ndarray, config: TrainConfig
+) -> None:
+    """One SGD pass over the samples in ``order``, a minibatch per step.
+
+    The permuted columns are this function's locals, so they are freed
+    before the caller computes the epoch loss."""
+    rows, weight, positive = encoded
+    pairs, weight, positive = rows.T[order], weight[order], positive[order]
+    lr, size = config.learning_rate, config.batch_size
+    for start in range(0, len(order), size):
+        batch = slice(start, start + size)
+        grad, global_grad = _gradient(
+            model, pairs[batch], weight[batch], positive[batch], config.l2
+        )
+        grad *= lr
+        model.table -= grad
+        model.global_bias -= lr * global_grad
+
+
 def _finite_parameters(model: RankingModel) -> bool:
-    return (
-        np.isfinite(model.global_bias)
-        and bool(np.all(np.isfinite(model.user_bias)))
-        and bool(np.all(np.isfinite(model.item_bias)))
-        and bool(np.all(np.isfinite(model.user_factors)))
-        and bool(np.all(np.isfinite(model.item_factors)))
-    )
+    return np.isfinite(model.global_bias) and bool(np.isfinite(model.table).all())
 
 
 def augment_with_sampled_negatives(
@@ -424,22 +465,14 @@ def write_model(path: str | Path, model: RankingModel) -> None:
             "global_bias": model.global_bias,
         }
         handle.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for user_id in sorted(model.users):
-            row = model.users[user_id]
-            record = {
-                "user": user_id,
-                "bias": float(model.user_bias[row]),
-                "vector": [float(v) for v in model.user_factors[row]],
-            }
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-        for item_id in sorted(model.items):
-            row = model.items[item_id]
-            record = {
-                "item": item_id,
-                "bias": float(model.item_bias[row]),
-                "vector": [float(v) for v in model.item_factors[row]],
-            }
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        for key, ids, first in (
+            ("user", model.users, 0),
+            ("item", model.items, len(model.users)),
+        ):
+            for id_ in sorted(ids):
+                row = model.table[first + ids[id_]]
+                record = {key: id_, "bias": float(row[-1]), "vector": row[:-1].tolist()}
+                handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def read_model(path: str | Path) -> RankingModel:
@@ -449,32 +482,26 @@ def read_model(path: str | Path) -> RankingModel:
     if header.get("format") != "tolrec-model":
         raise ValueError(f"{path}: not a model snapshot")
     dimension = header["dimension"]
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
-    user_rows: list[tuple[float, list[float]]] = []
-    item_rows: list[tuple[float, list[float]]] = []
+    # Per kind: id -> row within the block, and the rows as [*vector, bias].
+    blocks: dict[str, tuple[dict, list]] = {"user": ({}, []), "item": ({}, [])}
     for line in lines[1:]:
         record = json.loads(line)
-        if "user" in record:
-            users[record["user"]] = len(user_rows)
-            user_rows.append((record["bias"], record["vector"]))
-        else:
-            items[record["item"]] = len(item_rows)
-            item_rows.append((record["bias"], record["vector"]))
+        key = "user" if "user" in record else "item"
+        ids, rows = blocks[key]
+        if record[key] in ids:
+            raise ValueError(f"{path}: duplicate {key} {record[key]!r}")
+        ids[record[key]] = len(rows)
+        rows.append([*record["vector"], record["bias"]])
+    (users, user_rows), (items, item_rows) = blocks.values()
     if len(users) != header["users"] or len(items) != header["items"]:
         raise ValueError(f"{path}: truncated model snapshot")
     return RankingModel(
         dimension=dimension,
         users=users,
         items=items,
-        user_factors=np.array([v for _, v in user_rows], dtype=np.float64).reshape(
-            len(users), dimension
+        table=np.array(user_rows + item_rows, dtype=np.float64).reshape(
+            len(users) + len(items), dimension + 1
         ),
-        item_factors=np.array([v for _, v in item_rows], dtype=np.float64).reshape(
-            len(items), dimension
-        ),
-        user_bias=np.array([b for b, _ in user_rows], dtype=np.float64),
-        item_bias=np.array([b for b, _ in item_rows], dtype=np.float64),
         global_bias=header["global_bias"],
     )
 

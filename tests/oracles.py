@@ -305,6 +305,20 @@ def max_relative_gradient_error(analytic: Gradient, numeric: Gradient) -> float:
     return worst
 
 
+def reference_raw_score(model: RankingModel, user_id: str, item_id: str) -> float:
+    """``RankingModel.raw_score`` as it was, one id lookup per parameter array."""
+    z = model.global_bias
+    u = model.users.get(user_id)
+    i = model.items.get(item_id)
+    if u is not None:
+        z += model.user_bias[u]
+    if i is not None:
+        z += model.item_bias[i]
+    if u is not None and i is not None:
+        z += float(model.user_factors[u] @ model.item_factors[i])
+    return z
+
+
 def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0

@@ -61,20 +61,22 @@ class TestLabelCommand:
 
     def test_non_finite_watch_is_a_rejected_line(self, tmp_path, capsys):
         """A NaN watch time is counted as a rejected line instead of
-        reaching the labeler and poisoning the user's bucket mean."""
+        reaching the labeler and poisoning the user's bucket mean, and an
+        integer one too large for a float instead of aborting the log."""
         lines = [
             json.dumps({"user": "u1", "item": f"v{k}", "ts": k, "platform": "video",
                         "clicked": True, "watch": 1.0 + k, "duration": 20.0})
             for k in range(16)
         ]
         lines[7] = lines[7].replace('"watch": 8.0', '"watch": NaN')
+        lines[9] = lines[9].replace('"watch": 10.0', '"watch": 1' + "0" * 400)
         events = tmp_path / "events.jsonl"
         events.write_text("\n".join(lines) + "\n")
         out = tmp_path / "samples.jsonl"
         assert run("label", "--events", events, "--out", out) == 0
-        assert "rejected 1 malformed lines" in capsys.readouterr().err
+        assert "rejected 2 malformed lines" in capsys.readouterr().err
         samples = out.read_text().splitlines()
-        assert len(samples) == 15
+        assert len(samples) == 14
         assert not any("NaN" in line or "nan" in line for line in samples)
 
     def test_flags_override_defaults(self, tmp_path, event_file):
@@ -324,6 +326,8 @@ class TestTrainCommand:
         [
             ('{"item":"i1","ts":5,"label":"P"}', "line 2: missing key 'user'"),
             ('{"user":"u1","item":"i1","ts":5,"label":"X"}', "line 2: unknown label 'X'"),
+            ('{"user":5,"item":"i1","ts":5,"label":"P"}', "line 2: user and item must be strings"),
+            ('{"user":"u1","item":"i1","ts":"x","label":"P"}', "line 2: ts must be an integer"),
         ],
     )
     def test_bad_sample_fails_naming_line(self, tmp_path, capsys, record, message):

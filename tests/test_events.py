@@ -86,6 +86,25 @@ def test_ingest_rejects_non_finite_numbers(tmp_path, numbers, name):
 
 
 @pytest.mark.parametrize(
+    "numbers, key",
+    [
+        ('"watch":1%s,"duration":10' % ("0" * 400), "watch"),
+        ('"watch":3,"duration":-1%s' % ("0" * 400), "duration"),
+    ],
+    ids=["watch-1e400", "duration-minus-1e400"],
+)
+def test_ingest_rejects_integers_beyond_float_range(tmp_path, numbers, key):
+    """``float()`` of such an integer raises ``OverflowError``; the line is
+    rejected by number instead of aborting the whole log."""
+    line = '{"user":"u1","item":"v2","ts":9,"platform":"video","clicked":true,%s}'
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join([line % '"watch":3,"duration":10', line % numbers]) + "\n")
+    result = ingest_log(path)
+    assert len(result.events) == 1
+    assert result.rejected == [(2, f"line 2: {key} must be a finite number")]
+
+
+@pytest.mark.parametrize(
     "watch, duration, name",
     [
         (float("nan"), 10.0, "watch_duration"),

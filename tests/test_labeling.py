@@ -541,6 +541,10 @@ class TestSampleSerialization:
         [
             ('{"item":"i1","ts":5,"label":"P"}', "line 3: missing key 'user'"),
             ('{"user":"u1","item":"i1","ts":5}', "line 3: missing key 'label'"),
+            ('{"user":5,"item":"i1","ts":5,"label":"P"}', "line 3: user and item must be strings"),
+            ('{"user":"u1","item":null,"ts":5,"label":"P"}', "line 3: user and item must be strings"),
+            ('{"user":"u1","item":"i1","ts":"x","label":"P"}', "line 3: ts must be an integer"),
+            ('{"user":"u1","item":"i1","ts":true,"label":"P"}', "line 3: ts must be an integer"),
             ('{"user":"u1","item":"i1","ts":5,"label":"X"}', "line 3: unknown label 'X'"),
             ('{"user":"u1","item":"i1","ts":5,"label":["T"]}', "line 3: unknown label ['T']"),
             (

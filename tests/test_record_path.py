@@ -3,7 +3,10 @@ every rejection and every written byte must be equal.
 
 Lines with a non-finite ``watch`` or ``duration`` are left out of these
 comparisons: the old parser accepted them, and rejecting them is a
-deliberate change, checked in ``test_events.py``.
+deliberate change, checked in ``test_events.py``. So are lines with an
+integer ``watch`` or ``duration`` too large for a float, on which the old
+parser raised ``OverflowError`` and aborted the whole log; they are now
+rejected lines, also checked there.
 """
 
 import random

@@ -14,13 +14,16 @@ from tolrec.trainer import (
     gradient,
     loss,
     read_model,
+    sigmoid,
     train,
     write_model,
 )
 
 from oracles import (
+    _reference_sigmoid,
     finite_difference_gradient,
     max_relative_gradient_error,
+    reference_raw_score,
     reference_train,
     relabel_tolerance_as_negative,
 )
@@ -92,6 +95,23 @@ class TestPredict:
         for u in range(5):
             for i in range(7):
                 assert 0.0 < model.predict(f"u{u}", f"i{i}") < 1.0
+
+
+class TestSigmoid:
+    def test_bit_equal_to_masked_reference(self, rng):
+        """The mask-free form against the two-branch masked one, compared
+        as bit patterns: signed zeros, infinities, NaNs of both signs,
+        overflow of exp, subnormals, and ordinary values."""
+        nan = float("nan")
+        z = np.array(
+            [0.0, -0.0, np.inf, -np.inf, nan, -nan, 710.0, -710.0, 745.0,
+             -745.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310, -1e-310]
+        )
+        z = np.concatenate([z, rng.normal(0.0, 20.0, 1000)])
+        got = sigmoid(z)
+        assert got.view(np.uint64).tolist() == _reference_sigmoid(z.copy()).view(
+            np.uint64
+        ).tolist()
 
 
 class TestLoss:
@@ -249,17 +269,19 @@ class TestTrain:
         result = train(batch, TrainConfig(epochs=7, seed=1))
         assert len(result.history) == 8  # init + one per epoch
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_aborts_with_epoch(self):
+    def diverging_setup(self):
         # Contradictory labels for one pair: no finite optimum exists, so a
         # huge step size oscillates with growing magnitude until overflow.
         batch = [
             sample("u1", "i1", Label.POSITIVE),
             sample("u1", "i1", Label.NEGATIVE),
         ]
-        config = TrainConfig(learning_rate=1e6, epochs=100, dimension=4, seed=0)
+        return batch, TrainConfig(learning_rate=1e6, epochs=100, dimension=4, seed=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_aborts_with_epoch(self):
         with pytest.raises(DivergenceError) as info:
-            train(batch, config)
+            train(*self.diverging_setup())
         assert info.value.epoch >= 1
 
     def test_empty_samples_rejected(self):
@@ -273,32 +295,58 @@ class TestTrain:
         assert warmed.history[0] == pytest.approx(first.history[-1], abs=1e-9)
 
     def test_matches_reference_loop_bit_for_bit(self, rng):
-        """Training on arrays encoded once, with bincount scatters, equals
-        the per-batch, ``np.add.at`` reference loop bit for bit."""
+        """Training on one packed table, with one gather and one bincount
+        scatter per batch, equals the per-batch, per-array ``np.add.at``
+        reference loop bit for bit."""
         batch = random_batch(rng, n_users=9, n_items=15, n_samples=101)
         head = batch[:30]
         warm = train(head, TrainConfig(epochs=2, seed=5, batch_size=8)).model
         assert {s.user_id for s in batch} - set(warm.users)
         assert {s.item_id for s in batch} - set(warm.items)
+        # A warm model holding ids the batch lacks: its rows sit at other
+        # offsets than the new model's.
+        wide = random_batch(rng, n_users=14, n_items=22, n_samples=80)
+        stranger = train(wide, TrainConfig(epochs=2, seed=6, batch_size=8)).model
+        assert set(stranger.users) - {s.user_id for s in batch}
+        assert set(stranger.items) - {s.item_id for s in batch}
+        lone = [
+            sample("u1", "i1", Label.POSITIVE),
+            sample("u1", "i1", Label.TOLERANCE, beta=0.25),
+            sample("u1", "i1", Label.NEGATIVE),
+        ]
         weak = Objective.TOLERANCE_AS_WEAK_POSITIVE
+        base = TrainConfig(epochs=4, seed=11, batch_size=16)  # 101 = 6 * 16 + 5
         cases = [
-            (TrainConfig(objective=objective, l2=0.01), None)
+            (batch, replace(base, objective=objective, l2=0.01), None)
             for objective in Objective
         ] + [
-            (TrainConfig(objective=weak, fixed_beta=0.4), None),
-            (TrainConfig(objective=Objective.TOLERANCE_AS_NEGATIVE), warm),
-            (TrainConfig(objective=weak, l2=0.05), warm),
+            (batch, replace(base, objective=weak, fixed_beta=0.4), None),
+            (batch, replace(base, objective=Objective.TOLERANCE_AS_NEGATIVE), warm),
+            (batch, replace(base, objective=weak, l2=0.05), warm),
+            (batch, replace(base, objective=weak, l2=0.01), stranger),
+            (batch, replace(base, batch_size=500), None),
+            (batch, replace(base, objective=weak, batch_size=1), None),
+            (batch, replace(base, dimension=1, l2=0.01), None),
+            (lone, replace(base, objective=weak, batch_size=2), None),
         ]
-        for config, init_model in cases:
-            config = replace(config, epochs=4, seed=11, batch_size=16)
-            got = train(batch, config, init_model=init_model)
-            want = reference_train(batch, config, init_model=init_model)
+        for samples, config, init_model in cases:
+            got = train(samples, config, init_model=init_model)
+            want = reference_train(samples, config, init_model=init_model)
             for attr in ("user_factors", "item_factors", "user_bias", "item_bias"):
                 assert np.array_equal(
                     getattr(got.model, attr), getattr(want.model, attr)
                 ), (config, attr)
             assert got.model.global_bias == want.model.global_bias, config
             assert got.history == want.history, config
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_epoch_pinned(self):
+        """The epoch loss overflows at epoch 28, one epoch before the
+        parameters do: a trainer that checked only the parameters, or
+        skipped the epoch loss, would name epoch 29."""
+        with pytest.raises(DivergenceError) as info:
+            train(*self.diverging_setup())
+        assert info.value.epoch == 28
 
 
 class TestRank:
@@ -322,6 +370,24 @@ class TestRank:
         scores = {item: model.predict("u1", item) for item in items}
         expected = sorted(items, key=lambda it: (-scores[it], it))
         assert got == expected
+
+    def test_scores_match_reference_bit_for_bit(self, rng):
+        """Each score the ranking sorts by, unknown ids included, equals the
+        per-array reference; ranking by the reference gives the same order."""
+        users = [f"u{k}" for k in range(4)]
+        items = [f"i{k}" for k in range(25)]
+        model = random_model(users, items, 5, rng)
+        candidates = items + ["unknown"]
+        for user_id in users + ["nobody"]:
+            for item_id in candidates:
+                assert model.raw_score(user_id, item_id) == reference_raw_score(
+                    model, user_id, item_id
+                )
+            expected = sorted(
+                candidates,
+                key=lambda it: (-reference_raw_score(model, user_id, it), it),
+            )
+            assert model.rank(user_id, candidates) == expected
 
     def test_empty_candidates_rejected(self, rng):
         model = random_model(["u1"], ["i1"], 2, rng)
@@ -397,6 +463,15 @@ class TestSnapshot:
         np.testing.assert_array_equal(loaded.user_bias, model.user_bias)
         np.testing.assert_array_equal(loaded.item_bias, model.item_bias)
         assert loaded.global_bias == model.global_bias
+
+    def test_rejects_duplicate_id(self, tmp_path, rng):
+        model = train(random_batch(rng, n_samples=20), TrainConfig(epochs=1)).model
+        path = tmp_path / "model.txt"
+        write_model(path, model)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, rows[0], *rows]) + "\n")
+        with pytest.raises(ValueError, match="duplicate user"):
+            read_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.txt"
