@@ -17,6 +17,7 @@ surfaces early.
 
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -105,9 +106,11 @@ def _check_event(event: InteractionEvent, timestamp_is_int: bool = True) -> None
             raise EventValidationError("watch_duration", "must be non-negative")
         if duration <= 0:
             raise EventValidationError("item_duration", "must be positive")
-        if not math.isfinite(watch):
+        # Both are non-negative here. Unlike ``math.isfinite``, which raises
+        # OverflowError on an int beyond the float range, ``<=`` compares it.
+        if not watch <= sys.float_info.max:
             raise EventValidationError("watch_duration", "must be finite")
-        if not math.isfinite(duration):
+        if not duration <= sys.float_info.max:
             raise EventValidationError("item_duration", "must be finite")
     else:
         if watch is not None:

@@ -164,26 +164,6 @@ def tolerance_weight(ratio: float, average: float) -> float:
     return min(max(ratio / average, 0.0), 1.0)
 
 
-def update_profile(
-    profile: UserProfile, event: InteractionEvent, config: LabelingConfig
-) -> UserProfile:
-    """Fold one event into the user's running statistics.
-
-    Clicked video events update the matching duration bucket's running
-    mean with the capped watch ratio; nothing else changes the profile.
-    """
-    if event.user_id != profile.user_id:
-        raise ValueError(
-            f"event user {event.user_id!r} does not match profile "
-            f"{profile.user_id!r}"
-        )
-    if event.clicked and event.platform is Platform.VIDEO:
-        bucket = config.bucket_index(event.item_duration)
-        stats = profile.buckets.setdefault(bucket, BucketStats())
-        stats.push(watch_ratio(event, config.ratio_cap))
-    return profile
-
-
 def label_event(
     event: InteractionEvent,
     profile: UserProfile,

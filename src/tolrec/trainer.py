@@ -19,7 +19,6 @@ SGD with a seeded init and shuffle so runs are bit-reproducible.
 
 import csv
 import json
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -140,7 +139,7 @@ class RankingModel:
 
     def raw_score(self, user_id: str, item_id: str) -> float:
         """Pre-sigmoid score; unknown ids contribute zeros."""
-        return self._scorer(user_id)(item_id)
+        return float(self._raw_scores(user_id, [item_id])[0])
 
     def predict(self, user_id: str, item_id: str) -> float:
         return float(sigmoid(self.raw_score(user_id, item_id)))
@@ -149,32 +148,23 @@ class RankingModel:
         """Candidates by descending score, ties broken by ascending item id."""
         if not candidates:
             raise ValueError("candidate set must be nonempty")
-        score = self._scorer(user_id)
-        return sorted(candidates, key=lambda it: (-score(it), it))
+        scores = self._raw_scores(user_id, candidates)
+        return [it for _, it in sorted(zip((-scores).tolist(), candidates))]
 
-    def _scorer(self, user_id: str) -> Callable[[str], float]:
-        """:meth:`raw_score` for one user, with the user's row looked up once.
-
-        Adds the global bias, the user's bias, the item's bias and the dot
-        product, in that order."""
-        factors, bias = self.table[:, :-1], self.table[:, -1]
-        items, first_item = self.items, len(self.users)
-        base = self.global_bias
+    def _raw_scores(self, user_id: str, item_ids: list[str]) -> np.ndarray:
+        """:meth:`raw_score` against each item, from (item row, user row)
+        pairs laid out as ``_gradient`` gathers them; unknown ids get zeros."""
+        rows = np.array([self.items.get(it, -1) for it in item_ids], dtype=np.intp)
+        known = rows >= 0
+        gathered = np.zeros((len(rows), 2, self.table.shape[1]))
+        gathered[known, 0] = self.table[len(self.users) + rows[known]]
         u = self.users.get(user_id)
         if u is not None:
-            base += bias[u]
-            user = factors[u]
-
-        def score(item_id: str) -> float:
-            i = items.get(item_id)
-            if i is None:
-                return base
-            z = base + bias[first_item + i]
-            if u is not None:
-                z += float(user @ factors[first_item + i])
-            return z
-
-        return score
+            gathered[:, 1] = self.table[u]
+        items, users = gathered[:, 0], gathered[:, 1]
+        return _logits(
+            self.global_bias, users[:, -1], items[:, -1], users[:, :-1], items[:, :-1]
+        )
 
     def copy(self) -> "RankingModel":
         return RankingModel(
@@ -253,16 +243,23 @@ def _l2_penalty(model: RankingModel, l2: float) -> float:
     )
 
 
+def _logits(global_bias, user_bias, item_bias, user_factors, item_factors):
+    """Pre-sigmoid scores of (user, item) pairs, for loss, gradient and ranking
+    alike: global, user and item bias, then the dot product, in that order.
+    numpy sums an einsum in its own loop, so unlike a 1-D ``@`` (BLAS
+    ``ddot``) the bits do not depend on the kernel BLAS picks for the CPU."""
+    dot = np.einsum("ij,ij->i", user_factors, item_factors)
+    return global_bias + user_bias + item_bias + dot
+
+
 def _loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
     (user_rows, item_rows), weight, positive = encoded
     factors, bias = model.table[:, :-1], model.table[:, -1]
     # Gathered through the views, one block at a time, so that no
     # (n, dimension + 1) copy of the samples' rows is ever alive.
-    z = (
-        model.global_bias
-        + bias[user_rows]
-        + bias[item_rows]
-        + np.einsum("ij,ij->i", factors[user_rows], factors[item_rows])
+    z = _logits(
+        model.global_bias, bias[user_rows], bias[item_rows], factors[user_rows],
+        factors[item_rows],
     )
     # -log(sigmoid(z)) and -log(1 - sigmoid(z)) without forming sigmoid.
     terms = np.where(
@@ -286,13 +283,9 @@ def _gradient(
     # Each sample's item row, then its user row: (batch, 2, dimension + 1).
     gathered = table.take(pairs[:, ::-1], axis=0)
     items, users = gathered[:, 0], gathered[:, 1]
-    z = (
-        model.global_bias
-        + users[:, -1]
-        + items[:, -1]
-        + np.einsum("ij,ij->i", users[:, :-1], items[:, :-1])
-    )
-    y_hat = sigmoid(z)
+    y_hat = sigmoid(_logits(
+        model.global_bias, users[:, -1], items[:, -1], users[:, :-1], items[:, :-1]
+    ))
     # d(term)/dz: w * (y_hat - 1) for positives, y_hat for negatives.
     dz = np.where(positive, weight * (y_hat - 1.0), y_hat) / len(pairs)
     # A user's gradient is dz times its item's row, and the reverse; with
@@ -477,19 +470,21 @@ def write_model(path: str | Path, model: RankingModel) -> None:
 
 def read_model(path: str | Path) -> RankingModel:
     with open(path, encoding="utf-8") as handle:
-        lines = [line for line in handle if line.strip()]
-    header = json.loads(lines[0])
+        lines = [(n, line) for n, line in enumerate(handle, 1) if line.strip()]
+    header = json.loads(lines[0][1])
     if header.get("format") != "tolrec-model":
         raise ValueError(f"{path}: not a model snapshot")
     dimension = header["dimension"]
     # Per kind: id -> row within the block, and the rows as [*vector, bias].
     blocks: dict[str, tuple[dict, list]] = {"user": ({}, []), "item": ({}, [])}
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         record = json.loads(line)
         key = "user" if "user" in record else "item"
         ids, rows = blocks[key]
         if record[key] in ids:
             raise ValueError(f"{path}: duplicate {key} {record[key]!r}")
+        if len(record["vector"]) != dimension:
+            raise ValueError(f"{path}: line {number}: vector length is not {dimension}")
         ids[record[key]] = len(rows)
         rows.append([*record["vector"], record["bias"]])
     (users, user_rows), (items, item_rows) = blocks.values()

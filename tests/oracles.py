@@ -28,7 +28,6 @@ from tolrec.labeling import (
     RuleMode,
     UserProfile,
     label_event,
-    update_profile,
     watch_ratio,
 )
 from tolrec.trainer import (
@@ -129,6 +128,26 @@ def brute_force_causal_labels(
             )
         )
     return samples
+
+
+def update_profile(
+    profile: UserProfile, event: InteractionEvent, config: LabelingConfig
+) -> UserProfile:
+    """Fold one event into the user's running statistics.
+
+    Clicked video events update the matching duration bucket's running
+    mean with the capped watch ratio; nothing else changes the profile.
+    """
+    if event.user_id != profile.user_id:
+        raise ValueError(
+            f"event user {event.user_id!r} does not match profile "
+            f"{profile.user_id!r}"
+        )
+    if event.clicked and event.platform is Platform.VIDEO:
+        bucket = config.bucket_index(event.item_duration)
+        stats = profile.buckets.setdefault(bucket, BucketStats())
+        stats.push(watch_ratio(event, config.ratio_cap))
+    return profile
 
 
 def reference_causal_extend(
@@ -306,7 +325,8 @@ def max_relative_gradient_error(analytic: Gradient, numeric: Gradient) -> float:
 
 
 def reference_raw_score(model: RankingModel, user_id: str, item_id: str) -> float:
-    """``RankingModel.raw_score`` as it was, one id lookup per parameter array."""
+    """``RankingModel.raw_score`` one pair at a time, one id lookup per
+    parameter array, with the dot product as a 1-D ``np.einsum``."""
     z = model.global_bias
     u = model.users.get(user_id)
     i = model.items.get(item_id)
@@ -315,7 +335,7 @@ def reference_raw_score(model: RankingModel, user_id: str, item_id: str) -> floa
     if i is not None:
         z += model.item_bias[i]
     if u is not None and i is not None:
-        z += float(model.user_factors[u] @ model.item_factors[i])
+        z += float(np.einsum("i,i", model.user_factors[u], model.item_factors[i]))
     return z
 
 

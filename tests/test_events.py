@@ -111,6 +111,9 @@ def test_ingest_rejects_integers_beyond_float_range(tmp_path, numbers, key):
         (float("inf"), 10.0, "watch_duration"),
         (3.0, float("inf"), "item_duration"),
         (3.0, float("nan"), "item_duration"),
+        pytest.param(10**400, 10, "watch_duration", id="huge-int-watch"),
+        pytest.param(3, 10**400, "item_duration", id="huge-int-duration"),
+        pytest.param(10**400, 10**400, "watch_duration", id="huge-int-both"),
     ],
 )
 def test_constructor_rejects_non_finite_numbers(watch, duration, name):

@@ -18,7 +18,6 @@ from tolrec.labeling import (
     read_samples,
     sample_to_json,
     tolerance_weight,
-    update_profile,
     watch_ratio,
 )
 
@@ -27,6 +26,7 @@ from oracles import (
     brute_force_causal_labels,
     reference_causal_extend,
     reference_label_leave_one_out,
+    update_profile,
 )
 
 

@@ -1,9 +1,16 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tolrec
 from tolrec.labeling import Label, LabeledSample
 from tolrec.trainer import (
     DivergenceError,
@@ -395,6 +402,67 @@ class TestRank:
             model.rank("u1", [])
 
 
+#: Trains a small model, then prints every (user, item) raw score as hex
+#: and each user's ranking of the whole catalog plus one unknown id.
+_SCORE_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import numpy as np
+    from tolrec.labeling import Label, LabeledSample
+    from tolrec.trainer import TrainConfig, train
+
+    rng = np.random.default_rng(7)
+    labels = list(Label)
+    samples = []
+    for k in range(600):
+        label = labels[int(rng.integers(3))]
+        samples.append(LabeledSample(
+            f"u{int(rng.integers(20))}", f"i{int(rng.integers(60))}", k, label,
+            float(rng.random()) if label is Label.TOLERANCE else None,
+        ))
+    # Factors grown large enough that a dot product's last bits survive
+    # being added to the biases.
+    config = TrainConfig(learning_rate=1.0, epochs=30, dimension=8, batch_size=32)
+    model = train(samples, config).model
+    items = sorted(model.items) + ["unknown"]
+    users = sorted(model.users) + ["nobody"]
+    print(json.dumps({
+        "scores": [[model.raw_score(u, it).hex() for it in items] for u in users],
+        "ranks": [model.rank(u, items) for u in users],
+    }))
+    """
+)
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+def test_scores_do_not_depend_on_blas_kernel():
+    """Train and score in two processes, one with ``OPENBLAS_CORETYPE``
+    unset and one forcing OpenBLAS's Prescott kernels: every raw score and
+    every ranking must agree to the bit. On a BLAS build without run-time
+    kernel dispatch the variable does nothing and both runs trivially
+    agree."""
+    package_root = str(Path(tolrec.__file__).resolve().parent.parent)
+    outputs = []
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCORE_SCRIPT],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 class TestScoreOrdering:
     def test_positive_above_tolerance_above_negative(self):
         """Weak-positive training with a fixed half weight leaves the score
@@ -471,6 +539,16 @@ class TestSnapshot:
         header, *rows = path.read_text().splitlines()
         path.write_text("\n".join([header, rows[0], *rows]) + "\n")
         with pytest.raises(ValueError, match="duplicate user"):
+            read_model(path)
+
+    def test_rejects_vector_of_wrong_length_naming_line(self, tmp_path, rng):
+        model = train(random_batch(rng, n_samples=20), TrainConfig(epochs=1)).model
+        path = tmp_path / "model.txt"
+        write_model(path, model)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace('"vector":[', '"vector":[0.5,')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"model\.txt: line 3: vector length is not 8"):
             read_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
