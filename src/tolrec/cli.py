@@ -388,7 +388,7 @@ def _cmd_simulate(resolved: dict, outputs: list[str]) -> None:
             trust_recovery=resolved["trust_recovery"],
             seed=seed,
             warm_start=resolved["warm_start"],
-            labeling=LabelingConfig(rule_mode=RuleMode(resolved["rule"])),
+            rule_mode=RuleMode(resolved["rule"]),
         )
         report = simulate_experiment(
             _train_config(resolved, resolved["obj_a"], seed),

@@ -40,6 +40,8 @@ _EVENT_KEYS = frozenset(
 _PLATFORMS = {p.value: p for p in Platform}
 #: Shared by every event without follow-up actions.
 _NO_ACTIONS: frozenset[str] = frozenset()
+#: Duration types the constructor accepts, ``bool`` aside.
+_DURATION_TYPES = (int, float, type(None))
 # Build a frozen dataclass instance field by field, without its checks.
 _new = object.__new__
 _set = object.__setattr__
@@ -83,6 +85,17 @@ class InteractionEvent:
     followup_actions: frozenset[str] = _NO_ACTIONS
 
     def __post_init__(self):
+        # Type checks that parse_event makes on the raw record instead.
+        for name in ("watch_duration", "item_duration"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _DURATION_TYPES):
+                raise EventValidationError(name, "must be a number")
+        actions = self.followup_actions
+        # `actions and` spares the usual empty set a generator.
+        if not isinstance(actions, frozenset) or (
+            actions and not all(type(a) is str for a in actions)
+        ):
+            raise EventValidationError("followup_actions", "must be a set of strings")
         ts = self.timestamp
         _check_event(self, not isinstance(ts, bool) and isinstance(ts, int))
 

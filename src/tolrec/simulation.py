@@ -125,7 +125,8 @@ class SimConfig:
     trust_recovery: float = 0.005
     seed: int = 0
     warm_start: bool = False
-    labeling: LabelingConfig = LabelingConfig(rule_mode=RuleMode.RATIO_OR_ACTION)
+    #: Labeling rule of the streaming labeler; its other settings are defaults.
+    rule_mode: RuleMode = RuleMode.RATIO_OR_ACTION
 
     def __post_init__(self):
         if self.population < 2 or self.catalog < 1:
@@ -134,6 +135,8 @@ class SimConfig:
             raise ValueError("days must be >= 1")
         if self.slate_size < 1:
             raise ValueError("slate_size must be >= 1")
+        if self.dimension < 1:
+            raise ValueError("dimension must be >= 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if not 0.0 <= self.surface_true_correlation <= 1.0:
@@ -198,12 +201,16 @@ def generate_population(config: SimConfig) -> tuple[list[SimUser], list[SimItem]
 def user_response(
     user: SimUser,
     item: SimItem,
+    appeal: float,
+    experience: float,
     rng: np.random.Generator,
     timestamp: int,
     config: SimConfig,
 ) -> InteractionEvent:
     """Simulate one impression.
 
+    ``appeal`` and ``experience`` are the user's taste dotted with the
+    item's surface and with its true content, as Python floats.
     Click probability follows surface appeal. Given a click, the watch
     ratio is sampled around ``COMPLETION_GAIN * patience * sigmoid(true
     affinity)``, normalized by the expectation the surface raised, then
@@ -213,36 +220,25 @@ def user_response(
     shrinks with the expectation gap and grows with patience. Follow-up
     actions fire only on genuinely liked items that kept their promise.
     """
-    appeal = float(user.true_affinity @ item.surface)
     clicked = rng.random() < _expit(appeal / config.temperature)
-    if not clicked:
-        return InteractionEvent(
-            user_id=user.user_id,
-            item_id=item.item_id,
-            timestamp=timestamp,
-            platform=Platform.VIDEO,
-            clicked=False,
-            watch_duration=0.0,
-            item_duration=item.duration,
-        )
-    expectation = _expit(WATCH_SHARPNESS * appeal)
-    experience = _expit(
-        WATCH_SHARPNESS * float(user.true_affinity @ item.true_content)
-    )
-    kept_promise = min(1.0, experience / expectation)
-    center = COMPLETION_GAIN * user.patience * kept_promise
-    ratio = center + rng.normal(0.0, RATIO_NOISE)
-    ratio = min(max(ratio, 0.0), 1.0)
-    actions: frozenset[str] = frozenset()
-    if experience >= expectation and experience > ACTION_AFFINITY_THRESHOLD:
-        if rng.random() < ACTION_PROBABILITY:
-            actions = frozenset({_VIDEO_ACTIONS[int(rng.integers(len(_VIDEO_ACTIONS)))]})
+    ratio, actions = 0.0, frozenset()
+    if clicked:
+        expectation = _expit(WATCH_SHARPNESS * appeal)
+        satisfaction = _expit(WATCH_SHARPNESS * experience)
+        kept_promise = min(1.0, satisfaction / expectation)
+        center = COMPLETION_GAIN * user.patience * kept_promise
+        ratio = center + rng.normal(0.0, RATIO_NOISE)
+        ratio = min(max(ratio, 0.0), 1.0)
+        if satisfaction >= expectation and satisfaction > ACTION_AFFINITY_THRESHOLD:
+            if rng.random() < ACTION_PROBABILITY:
+                action = _VIDEO_ACTIONS[int(rng.integers(len(_VIDEO_ACTIONS)))]
+                actions = frozenset({action})
     return InteractionEvent(
         user_id=user.user_id,
         item_id=item.item_id,
         timestamp=timestamp,
         platform=Platform.VIDEO,
-        clicked=True,
+        clicked=clicked,
         watch_duration=ratio * item.duration,
         item_duration=item.duration,
         followup_actions=actions,
@@ -345,7 +341,7 @@ class _Arm:
         self.rngs = [
             np.random.default_rng([sim.seed, 17, u]) for u in range(sim.population)
         ]
-        self.labeler = CausalLabeler(sim.labeling)
+        self.labeler = CausalLabeler(LabelingConfig(rule_mode=sim.rule_mode))
         self.log: list[LabeledSample] = []
         self.model: RankingModel | None = None
 
@@ -360,7 +356,12 @@ def simulate_experiment(
     """
     users, items = generate_population(sim)
     item_ids = [it.item_id for it in items]
-    by_id = {it.item_id: it for it in items}
+    catalog_index = {item_id: j for j, item_id in enumerate(item_ids)}
+    # Ground truth fixed for the run. Plain einsum sums in numpy's own loop,
+    # so the bits do not depend on the BLAS kernel.
+    tastes = [user.true_affinity for user in users]
+    appeal = np.einsum("ud,id->ui", tastes, [it.surface for it in items])
+    experience = np.einsum("ud,id->ui", tastes, [it.true_content for it in items])
     arms = [
         _Arm("A", config_a, users, sim),
         _Arm("B", config_b, users, sim),
@@ -373,10 +374,10 @@ def simulate_experiment(
     report = SimReport()
     for day in range(1, sim.days + 1):
         for arm in arms:
+            active = [u for u, user in enumerate(arm.users) if user.active]
             events: list[InteractionEvent] = []
-            for user, rng in zip(arm.users, arm.rngs):
-                if not user.active:
-                    continue
+            for u in active:
+                user, rng = arm.users[u], arm.rngs[u]
                 pool_idx = rng.choice(sim.catalog, size=sim.candidate_pool, replace=False)
                 pool = [item_ids[j] for j in pool_idx]
                 if arm.model is None:
@@ -384,10 +385,13 @@ def simulate_experiment(
                 else:
                     slate = arm.model.rank(user.user_id, pool)[: sim.slate_size]
                 for slot, item_id in enumerate(slate):
+                    j = catalog_index[item_id]
                     timestamp = day * DAY_SECONDS + slot * 60
-                    events.append(
-                        user_response(user, by_id[item_id], rng, timestamp, sim)
-                    )
+                    # Python floats: an np.float64 would reach watch_duration.
+                    events.append(user_response(
+                        user, items[j], float(appeal[u, j]), float(experience[u, j]),
+                        rng, timestamp, sim,
+                    ))
 
             events.sort(key=lambda e: (e.user_id, e.timestamp))
             samples = arm.labeler.extend(events)
@@ -406,8 +410,7 @@ def simulate_experiment(
                 init = arm.model if sim.warm_start else None
                 arm.model = train(arm.log, arm.config, init_model=init).model
 
-            active_now = [u for u, user in enumerate(arm.users) if user.active]
-            dwell: dict[str, float] = {arm.users[u].user_id: 0.0 for u in active_now}
+            dwell: dict[str, float] = {arm.users[u].user_id: 0.0 for u in active}
             for event in events:
                 dwell[event.user_id] += event.watch_duration
             retained = 0
@@ -424,8 +427,8 @@ def simulate_experiment(
                 DayArmStats(
                     day=day,
                     arm=arm.name,
-                    active_users=len(active_now),
-                    retention=retained / len(active_now) if active_now else 0.0,
+                    active_users=len(active),
+                    retention=retained / len(active) if active else 0.0,
                     dwell_mean=(
                         sum(dwell.values()) / len(dwell) if dwell else 0.0
                     ),

@@ -1,6 +1,13 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tolrec
 from tolrec.events import InteractionEvent, Platform
 
 ALL_ACTIONS = ("cart", "favorite", "purchase", "like", "comment", "share", "follow")
@@ -68,3 +75,33 @@ def random_event_log(
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+#: ``OPENBLAS_CORETYPE`` names x86-64 kernels, so elsewhere it means nothing.
+x86_64_only = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+
+
+def outputs_under_blas_kernels(script: str) -> list[str]:
+    """Standard output of ``script`` run in two fresh interpreters, one with
+    ``OPENBLAS_CORETYPE`` unset and one forcing OpenBLAS's Prescott
+    kernels. On a BLAS build without run-time kernel dispatch the variable
+    does nothing and both runs trivially agree."""
+    package_root = str(Path(tolrec.__file__).resolve().parent.parent)
+    outputs = []
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs

@@ -121,6 +121,22 @@ def test_constructor_rejects_non_finite_numbers(watch, duration, name):
         InteractionEvent("u1", "v1", 1, Platform.VIDEO, True, watch, duration)
 
 
+@pytest.mark.parametrize(
+    "watch, duration, actions, name",
+    [
+        ("3", 10, frozenset(), "watch_duration"),
+        (3, "10", frozenset(), "item_duration"),
+        (True, 10, frozenset(), "watch_duration"),
+        (3, 10, ["like"], "followup_actions"),
+        (3, 10, frozenset({1}), "followup_actions"),
+    ],
+    ids=["str-watch", "str-duration", "bool-watch", "list-actions", "int-action"],
+)
+def test_constructor_rejects_wrong_types(watch, duration, actions, name):
+    with pytest.raises(EventValidationError, match=f"^{name}: must be "):
+        InteractionEvent("u1", "v1", 1, Platform.VIDEO, True, watch, duration, actions)
+
+
 def test_unknown_action_rejected():
     line = (
         '{"user":"u1","item":"i1","ts":1,"platform":"ecommerce",'

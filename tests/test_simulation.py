@@ -1,3 +1,5 @@
+import json
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,8 @@ from tolrec.simulation import (
 )
 from tolrec.trainer import Objective, TrainConfig
 
+from conftest import outputs_under_blas_kernels, x86_64_only
+
 
 def train_config(objective=Objective.STANDARD, seed=0, epochs=4):
     return TrainConfig(
@@ -37,6 +41,19 @@ def small_sim(**overrides):
     return SimConfig(**defaults)
 
 
+def respond(user, item, rng, timestamp, config):
+    """``user_response`` given this pair's appeal and experience."""
+    return user_response(
+        user,
+        item,
+        float(np.einsum("d,d", user.true_affinity, item.surface)),
+        float(np.einsum("d,d", user.true_affinity, item.true_content)),
+        rng,
+        timestamp,
+        config,
+    )
+
+
 class TestSimConfig:
     @pytest.mark.parametrize("days", [0, -1])
     def test_rejects_fewer_than_one_day(self, days):
@@ -52,6 +69,11 @@ class TestSimConfig:
     def test_rejects_non_positive_temperature(self, temperature):
         with pytest.raises(ValueError, match="temperature"):
             small_sim(temperature=temperature)
+
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_rejects_dimension_below_one(self, dimension):
+        with pytest.raises(ValueError, match="dimension"):
+            small_sim(dimension=dimension)
 
 
 class TestGeneratePopulation:
@@ -105,7 +127,7 @@ class TestUserResponse:
         )
         rng = np.random.default_rng(0)
         clicks = sum(
-            user_response(user, hostile, rng, t, config).clicked for t in range(2000)
+            respond(user, hostile, rng, t, config).clicked for t in range(2000)
         )
         assert clicks == 0
 
@@ -114,9 +136,7 @@ class TestUserResponse:
         users, items = generate_population(config)
         rng = np.random.default_rng(1)
         for t in range(500):
-            event = user_response(
-                users[t % len(users)], items[t % len(items)], rng, t, config
-            )
+            event = respond(users[t % len(users)], items[t % len(items)], rng, t, config)
             assert event.platform is Platform.VIDEO
             assert 0.0 <= event.watch_duration <= event.item_duration
             if event.followup_actions:
@@ -132,13 +152,13 @@ class TestUserResponse:
         for t in range(10_000):
             user = users[int(rng.integers(len(users)))]
             item = items[int(rng.integers(len(items)))]
-            event = user_response(user, item, rng, t, config)
+            event = respond(user, item, rng, t, config)
             population_ratios.append(event.watch_duration / event.item_duration)
         user = users[0]
         best = max(items, key=lambda it: float(user.true_affinity @ it.true_content))
         liked_ratios = []
         for t in range(10_000):
-            event = user_response(user, best, rng, t, config)
+            event = respond(user, best, rng, t, config)
             liked_ratios.append(event.watch_duration / event.item_duration)
         assert np.mean(liked_ratios) > np.mean(population_ratios) + 0.1
 
@@ -266,8 +286,34 @@ class TestSimulateExperiment:
             assert labeler.batches == config.days
             seen = sorted(labeler.seen, key=lambda pair: (pair[0].user_id, pair[0].timestamp))
             events = [event for event, _ in seen]
-            relabeled = label_log(events, config.labeling).samples
+            relabeled = label_log(events, LabelingConfig(rule_mode=config.rule_mode)).samples
             assert relabeled == [sample for _, sample in seen]
+
+    def test_dwell_mean_sums_each_user_in_event_order(self, monkeypatch):
+        """Each row's ``dwell_mean`` is exactly the per-user watch sums taken
+        in event order, summed over the active users in order. The daily
+        CSV rounds it to 3 decimals, so only this check sees the order."""
+        days = []
+
+        class RecordingLabeler(CausalLabeler):
+            def extend(self, events):
+                days.append(events)
+                return super().extend(events)
+
+        monkeypatch.setattr(simulation, "CausalLabeler", RecordingLabeler)
+        report = simulate_experiment(
+            train_config(Objective.STANDARD),
+            train_config(Objective.TOLERANCE_AS_WEAK_POSITIVE),
+            small_sim(seed=8),
+        )
+        # One extend call per arm-day, in the order of the report's rows.
+        assert len(days) == len(report.rows)
+        for row, events in zip(report.rows, days):
+            dwell = {}
+            for event in events:
+                dwell[event.user_id] = dwell.get(event.user_id, 0.0) + event.watch_duration
+            assert len(dwell) == row.active_users
+            assert sum(dwell.values()) / len(dwell) == row.dwell_mean
 
     def test_tolerance_label_on_non_click_fails_loudly(self, monkeypatch):
         """The in-loop fidelity check fires when the labeler marks a
@@ -314,9 +360,39 @@ class TestSimulateExperiment:
         events = []
         for slot, item in enumerate(items[:10]):
             for user in users[:10]:
-                events.append(
-                    user_response(user, item, rng, 86_400 + slot * 60, config)
-                )
+                events.append(respond(user, item, rng, 86_400 + slot * 60, config))
         events.sort(key=lambda e: (e.user_id, e.timestamp))
         result = label_log(events, LabelingConfig())
         assert len(result.samples) == len(events)
+
+
+#: Runs seed 0 at ``SimConfig`` defaults, standard against tol-weak, and
+#: prints every ``DayArmStats`` row with its floats as ``float.hex``.
+_SIM_SCRIPT = textwrap.dedent(
+    """
+    import json
+    from tolrec.simulation import SimConfig, simulate_experiment
+    from tolrec.trainer import Objective, TrainConfig
+
+    def arm(objective):
+        return TrainConfig(objective=objective, learning_rate=0.3, epochs=10, l2=1e-4)
+
+    report = simulate_experiment(
+        arm(Objective.STANDARD), arm(Objective.TOLERANCE_AS_WEAK_POSITIVE), SimConfig()
+    )
+    print(json.dumps([
+        [r.day, r.arm, r.active_users, r.retention.hex(), r.dwell_mean.hex(),
+         r.impressions, r.tolerance_events]
+        for r in report.rows
+    ]))
+    """
+)
+
+
+@x86_64_only
+def test_simulation_does_not_depend_on_blas_kernel():
+    """A paired simulation under two BLAS kernels gives the same rows to
+    the last bit, retention and dwell included."""
+    unset, prescott = (json.loads(out) for out in outputs_under_blas_kernels(_SIM_SCRIPT))
+    assert len(unset) == 2 * SimConfig().days
+    assert unset == prescott

@@ -1,16 +1,10 @@
 import math
-import os
-import platform
-import subprocess
-import sys
 import textwrap
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import tolrec
 from tolrec.labeling import Label, LabeledSample
 from tolrec.trainer import (
     DivergenceError,
@@ -26,6 +20,7 @@ from tolrec.trainer import (
     write_model,
 )
 
+from conftest import outputs_under_blas_kernels, x86_64_only
 from oracles import (
     _reference_sigmoid,
     finite_difference_gradient,
@@ -434,33 +429,12 @@ _SCORE_SCRIPT = textwrap.dedent(
 )
 
 
-@pytest.mark.skipif(
-    platform.machine().lower() not in ("x86_64", "amd64"),
-    reason="OPENBLAS_CORETYPE names x86-64 kernels",
-)
+@x86_64_only
 def test_scores_do_not_depend_on_blas_kernel():
-    """Train and score in two processes, one with ``OPENBLAS_CORETYPE``
-    unset and one forcing OpenBLAS's Prescott kernels: every raw score and
-    every ranking must agree to the bit. On a BLAS build without run-time
-    kernel dispatch the variable does nothing and both runs trivially
-    agree."""
-    package_root = str(Path(tolrec.__file__).resolve().parent.parent)
-    outputs = []
-    for coretype in (None, "Prescott"):
-        env = dict(os.environ)
-        env.pop("OPENBLAS_CORETYPE", None)
-        if coretype is not None:
-            env["OPENBLAS_CORETYPE"] = coretype
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", _SCORE_SCRIPT],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    """Train and score under two BLAS kernels: every raw score and every
+    ranking must agree to the bit."""
+    unset, prescott = outputs_under_blas_kernels(_SCORE_SCRIPT)
+    assert unset == prescott
 
 
 class TestScoreOrdering:
