@@ -91,10 +91,12 @@ class LabelingConfig:
     beta_baseline: str = "user"
 
     def __post_init__(self):
+        if not isinstance(self.rule_mode, RuleMode):
+            raise ValueError(f"rule_mode must be a RuleMode, got {self.rule_mode!r}")
         check_edges("duration_bucket_edges", self.duration_bucket_edges)
         if self.min_history < 1:
             raise ValueError("min_history must be at least 1")
-        if self.ratio_cap <= 0:
+        if not self.ratio_cap > 0:
             raise ValueError("ratio_cap must be positive")
         if self.beta_baseline not in ("user", "population"):
             raise ValueError("beta_baseline must be 'user' or 'population'")

@@ -129,6 +129,8 @@ class SimConfig:
     rule_mode: RuleMode = RuleMode.RATIO_OR_ACTION
 
     def __post_init__(self):
+        if not isinstance(self.rule_mode, RuleMode):
+            raise ValueError(f"rule_mode must be a RuleMode, got {self.rule_mode!r}")
         if self.population < 2 or self.catalog < 1:
             raise ValueError("population must be >= 2 and catalog >= 1")
         if self.days < 1:
@@ -137,13 +139,13 @@ class SimConfig:
             raise ValueError("slate_size must be >= 1")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
         if not 0.0 <= self.surface_true_correlation <= 1.0:
             raise ValueError("surface_true_correlation must lie in [0, 1]")
         if not 0.0 <= self.trust_decay < 1.0:
             raise ValueError("trust_decay must lie in [0, 1)")
-        if self.trust_recovery < 0:
+        if not self.trust_recovery >= 0:
             raise ValueError("trust_recovery must be non-negative")
         if self.slate_size > self.candidate_pool:
             raise ValueError("slate_size cannot exceed candidate_pool")
@@ -408,7 +410,9 @@ def simulate_experiment(
 
             if arm.log:
                 init = arm.model if sim.warm_start else None
-                arm.model = train(arm.log, arm.config, init_model=init).model
+                arm.model = train(
+                    arm.log, arm.config, init_model=init, history=False
+                ).model
 
             dwell: dict[str, float] = {arm.users[u].user_id: 0.0 for u in active}
             for event in events:

@@ -58,11 +58,13 @@ class TrainConfig:
     batch_size: int = 256
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not isinstance(self.objective, Objective):
+            raise ValueError(f"objective must be an Objective, got {self.objective!r}")
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.dimension < 1 or self.batch_size < 1:
             raise ValueError("epochs, dimension, and batch_size must be positive")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise ValueError("l2 must be non-negative")
         if self.fixed_beta is not None and not 0.0 <= self.fixed_beta <= 1.0:
             raise ValueError("fixed_beta must lie in [0, 1]")
@@ -261,10 +263,9 @@ def _loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
         model.global_bias, bias[user_rows], bias[item_rows], factors[user_rows],
         factors[item_rows],
     )
-    # -log(sigmoid(z)) and -log(1 - sigmoid(z)) without forming sigmoid.
-    terms = np.where(
-        positive, weight * np.logaddexp(0.0, -z), np.logaddexp(0.0, z)
-    )
+    # -log(sigmoid(z)) and -log(1 - sigmoid(z)) without forming sigmoid;
+    # ``_encode`` leaves the weight of every non-positive at 1.0.
+    terms = weight * np.logaddexp(0.0, np.where(positive, -z, z))
     return float(np.mean(terms)) + _l2_penalty(model, l2)
 
 
@@ -335,12 +336,24 @@ def train(
     samples: list[LabeledSample],
     config: TrainConfig,
     init_model: RankingModel | None = None,
+    *,
+    history: bool = True,
 ) -> TrainResult:
     """Minibatch SGD with a fixed, seed-derived shuffle order.
 
     ``init_model`` warm-starts from an existing model; ids absent from it
-    are freshly initialized. Raises :class:`DivergenceError` as soon as
-    the epoch loss stops being finite.
+    are freshly initialized.
+
+    With ``history`` (the default), ``TrainResult.history`` holds the
+    full-dataset loss at init and after every epoch. :class:`DivergenceError`
+    is raised at epoch 0 if the initial loss is not finite, and after an
+    epoch if its loss or any parameter is not finite.
+
+    With ``history=False`` no loss is computed and the history is ``[]``.
+    :class:`DivergenceError` is raised at epoch 0 if the starting
+    parameters are not finite, and after an epoch if any parameter is not
+    finite. The loss overflows before the parameters do, so this mode can
+    name a later epoch than the default one.
     """
     if not samples:
         raise ValueError("sample collection must be nonempty")
@@ -362,16 +375,18 @@ def train(
         model.global_bias = init_model.global_bias
 
     encoded = _encode(model, samples, config)
-    history = [_loss(model, encoded, config.l2)]
-    if not np.isfinite(history[0]):
+    losses = [_loss(model, encoded, config.l2)] if history else []
+    if not (np.isfinite(losses[0]) if history else _finite_parameters(model)):
         raise DivergenceError(0)
     for epoch in range(1, config.epochs + 1):
         _epoch(model, encoded, rng.permutation(len(samples)), config)
-        epoch_loss = _loss(model, encoded, config.l2)
-        if not np.isfinite(epoch_loss) or not _finite_parameters(model):
+        if history:
+            losses.append(_loss(model, encoded, config.l2))
+            if not np.isfinite(losses[-1]):
+                raise DivergenceError(epoch)
+        if not _finite_parameters(model):
             raise DivergenceError(epoch)
-        history.append(epoch_loss)
-    return TrainResult(model=model, history=history)
+    return TrainResult(model=model, history=losses)
 
 
 def _epoch(

@@ -124,6 +124,19 @@ class TestLabelingConfig:
     def test_accepts_ascending_edges(self, edges):
         assert LabelingConfig(duration_bucket_edges=edges).bucket_count == len(edges) + 1
 
+    @pytest.mark.parametrize("rule_mode", ["ratio-only", "ratio-or-action", None])
+    def test_rejects_rule_mode_that_is_not_a_rule_mode(self, rule_mode):
+        with pytest.raises(ValueError, match="rule_mode"):
+            LabelingConfig(rule_mode=rule_mode)
+
+    @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.0])
+    def test_rejects_ratio_cap_that_is_not_positive(self, cap):
+        with pytest.raises(ValueError, match="ratio_cap"):
+            LabelingConfig(ratio_cap=cap)
+
+    def test_accepts_infinite_ratio_cap(self):
+        assert LabelingConfig(ratio_cap=float("inf")).ratio_cap == float("inf")
+
 
 class TestWatchRatio:
     def test_direct_ratio(self):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tolrec import simulation
+from tolrec import simulation, trainer
 from tolrec.events import Platform
 from tolrec.labeling import CausalLabeler, Label, LabelingConfig, label_log
 from tolrec.simulation import (
@@ -74,6 +74,18 @@ class TestSimConfig:
     def test_rejects_dimension_below_one(self, dimension):
         with pytest.raises(ValueError, match="dimension"):
             small_sim(dimension=dimension)
+
+    @pytest.mark.parametrize(
+        "field", ["temperature", "trust_recovery", "surface_true_correlation", "trust_decay"]
+    )
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=field):
+            small_sim(**{field: float("nan")})
+
+    @pytest.mark.parametrize("rule_mode", ["ratio-only", "ratio-or-action", None])
+    def test_rejects_rule_mode_that_is_not_a_rule_mode(self, rule_mode):
+        with pytest.raises(ValueError, match="rule_mode"):
+            small_sim(rule_mode=rule_mode)
 
 
 class TestGeneratePopulation:
@@ -234,6 +246,17 @@ class TestSimulateExperiment:
         a = simulate_experiment(train_config(), train_config(), config)
         b = simulate_experiment(train_config(), train_config(), config)
         assert a.table_rows() == b.table_rows()
+
+    def test_trains_without_an_epoch_loss(self, monkeypatch):
+        """The simulator drops the loss history, so it must not compute one."""
+
+        def no_loss(*args):
+            raise AssertionError("the simulator computed an epoch loss")
+
+        monkeypatch.setattr(trainer, "_loss", no_loss)
+        config = small_sim(seed=1, days=2)
+        report = simulate_experiment(train_config(), train_config(), config)
+        assert len(report.rows) == 2 * config.days
 
     def test_identical_objectives_give_zero_deltas(self):
         config = small_sim(seed=4)

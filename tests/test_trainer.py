@@ -232,6 +232,27 @@ class TestGradient:
         assert max_relative_gradient_error(analytic, numeric) < 1e-6
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("objective", ["tol-neg", "standard", None])
+    def test_rejects_objective_that_is_not_an_objective(self, objective):
+        with pytest.raises(ValueError, match="objective"):
+            TrainConfig(objective=objective)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", 0.0),
+            ("l2", float("nan")),
+            ("l2", -1e-4),
+            ("fixed_beta", float("nan")),
+        ],
+    )
+    def test_rejects_nan_and_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+
 class TestTrain:
     def separable_batch(self):
         return [
@@ -340,6 +361,11 @@ class TestTrain:
                 ), (config, attr)
             assert got.model.global_bias == want.model.global_bias, config
             assert got.history == want.history, config
+            # Without the epoch loss the same SGD steps give the same model.
+            bare = train(samples, config, init_model=init_model, history=False)
+            assert np.array_equal(bare.model.table, got.model.table), config
+            assert bare.model.global_bias == got.model.global_bias, config
+            assert bare.history == [], config
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_epoch_pinned(self):
@@ -349,6 +375,22 @@ class TestTrain:
         with pytest.raises(DivergenceError) as info:
             train(*self.diverging_setup())
         assert info.value.epoch == 28
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_epoch_pinned_without_history(self):
+        """Without the epoch loss only the parameters are checked, and they
+        overflow at epoch 29."""
+        with pytest.raises(DivergenceError) as info:
+            train(*self.diverging_setup(), history=False)
+        assert info.value.epoch == 29
+
+    def test_non_finite_start_diverges_at_epoch_zero_without_history(self, rng):
+        batch = random_batch(rng, n_samples=20)
+        warm = train(batch, TrainConfig(epochs=1, seed=2)).model
+        warm.global_bias = float("nan")
+        with pytest.raises(DivergenceError) as info:
+            train(batch, TrainConfig(epochs=1, seed=2), init_model=warm, history=False)
+        assert info.value.epoch == 0
 
 
 class TestRank:
