@@ -39,6 +39,10 @@ class CohortConfig:
     min_watch_seconds: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.platform, Platform):
+            raise ValueError(f"platform must be a Platform, got {self.platform!r}")
+        if not self.min_watch_seconds >= 0:
+            raise ValueError("min_watch_seconds must be non-negative")
         if self.reference.end > self.investigation.start:
             raise ValueError("reference window must end before investigation starts")
         check_edges("bucket_edges", self.effective_edges)

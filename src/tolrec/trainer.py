@@ -76,7 +76,10 @@ def sigmoid(z):
     # so even its sign bit matches the branch a mask would take.
     e = np.exp(np.minimum(z, -z))
     d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    # 1 / d where z >= 0, else e / d: one divide picks its numerator first.
+    y = np.where(z >= 0, 1.0, e)
+    y /= d
+    return y
 
 
 def _block(users: bool, factors: bool) -> property:
@@ -270,19 +273,20 @@ def _loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
 
 
 def _gradient(
-    model: RankingModel, pairs, weight, positive, l2: float
+    model: RankingModel, index, pairs, crossed, weight, positive, l2: float
 ) -> tuple[np.ndarray, float]:
     """Gradient of the loss over a batch: one array shaped like
     ``model.table``, and the global bias's. ``pairs`` holds each sample's
-    user row and item row, (batch, 2).
+    user row and item row, (batch, 2), ``crossed`` the same item first,
+    and ``index`` is :func:`_index_table` of the table: one gather of the
+    crossed rows, one take of the pairs' bins, one ``np.bincount``.
 
     ``np.bincount`` adds each bin's weights in input order starting from
     zero, exactly as ``np.add.at`` into zeros does, so every sum is
     bit-equal to scattering each parameter array on its own."""
     table = model.table
-    width = table.shape[1]
     # Each sample's item row, then its user row: (batch, 2, dimension + 1).
-    gathered = table.take(pairs[:, ::-1], axis=0)
+    gathered = table.take(crossed, axis=0)
     items, users = gathered[:, 0], gathered[:, 1]
     y_hat = sigmoid(_logits(
         model.global_bias, users[:, -1], items[:, -1], users[:, :-1], items[:, :-1]
@@ -292,13 +296,19 @@ def _gradient(
     # A user's gradient is dz times its item's row, and the reverse; with
     # the bias column at 1.0, each bias gets exactly dz.
     gathered[..., -1] = 1.0
-    gathered *= dz[:, None, None]
-    bins = (pairs * width)[..., None] + np.arange(width)
-    grad = np.bincount(bins.ravel(), gathered.ravel(), minlength=table.size)
+    scaled = gathered.reshape(len(pairs), -1)
+    scaled *= dz[:, None]
+    bins = index.take(pairs, axis=0)
+    grad = np.bincount(bins.ravel(), scaled.ravel(), minlength=table.size)
     grad = grad.reshape(table.shape)
     if l2:
         grad += l2 * table
     return grad, float(dz.sum())
+
+
+def _index_table(table: np.ndarray) -> np.ndarray:
+    """Each entry's offset in the flat ``table``: row r's gradient bins."""
+    return np.arange(table.size).reshape(table.shape)
 
 
 def loss(
@@ -317,7 +327,10 @@ def gradient(
     if not samples:
         raise ValueError("sample collection must be nonempty")
     rows, weight, positive = _encode(model, samples, config)
-    table, global_bias = _gradient(model, rows.T, weight, positive, config.l2)
+    index = _index_table(model.table)
+    table, global_bias = _gradient(
+        model, index, rows.T, rows[::-1].T, weight, positive, config.l2
+    )
     packed = replace(model, table=table)
     return Gradient(
         packed.user_factors, packed.item_factors, packed.user_bias, packed.item_bias,
@@ -375,11 +388,12 @@ def train(
         model.global_bias = init_model.global_bias
 
     encoded = _encode(model, samples, config)
+    index = _index_table(model.table)
     losses = [_loss(model, encoded, config.l2)] if history else []
     if not (np.isfinite(losses[0]) if history else _finite_parameters(model)):
         raise DivergenceError(0)
     for epoch in range(1, config.epochs + 1):
-        _epoch(model, encoded, rng.permutation(len(samples)), config)
+        _epoch(model, encoded, index, rng.permutation(len(samples)), config)
         if history:
             losses.append(_loss(model, encoded, config.l2))
             if not np.isfinite(losses[-1]):
@@ -390,19 +404,23 @@ def train(
 
 
 def _epoch(
-    model: RankingModel, encoded: Encoded, order: np.ndarray, config: TrainConfig
+    model: RankingModel, encoded: Encoded, index, order, config: TrainConfig
 ) -> None:
     """One SGD pass over the samples in ``order``, a minibatch per step.
 
-    The permuted columns are this function's locals, so they are freed
-    before the caller computes the epoch loss."""
+    Each step is one :func:`_gradient` and one update of the table. The
+    columns are permuted once per epoch, the rows both as (user, item)
+    pairs and crossed, so each step slices contiguous arrays; they are
+    locals, freed before the caller computes the epoch loss."""
     rows, weight, positive = encoded
-    pairs, weight, positive = rows.T[order], weight[order], positive[order]
+    pairs, crossed = rows.T[order], rows[::-1].T[order]
+    weight, positive = weight[order], positive[order]
     lr, size = config.learning_rate, config.batch_size
     for start in range(0, len(order), size):
         batch = slice(start, start + size)
         grad, global_grad = _gradient(
-            model, pairs[batch], weight[batch], positive[batch], config.l2
+            model, index, pairs[batch], crossed[batch], weight[batch],
+            positive[batch], config.l2,
         )
         grad *= lr
         model.table -= grad
@@ -486,8 +504,11 @@ def write_model(path: str | Path, model: RankingModel) -> None:
 def read_model(path: str | Path) -> RankingModel:
     with open(path, encoding="utf-8") as handle:
         lines = [(n, line) for n, line in enumerate(handle, 1) if line.strip()]
-    header = json.loads(lines[0][1])
-    if header.get("format") != "tolrec-model":
+    try:
+        header = json.loads(lines[0][1])
+    except (IndexError, json.JSONDecodeError):
+        header = None
+    if not isinstance(header, dict) or header.get("format") != "tolrec-model":
         raise ValueError(f"{path}: not a model snapshot")
     dimension = header["dimension"]
     # Per kind: id -> row within the block, and the rows as [*vector, bias].

@@ -412,6 +412,30 @@ def _reference_step(model, batch, config) -> None:
     model.global_bias -= lr * float(np.sum(dz))
 
 
+def reference_gradient(model, batch, config) -> Gradient:
+    """:func:`tolrec.trainer.gradient` as ``_reference_step`` computes it:
+    each parameter array scattered on its own with ``np.add.at``."""
+    u_idx, i_idx, weight, positive, z = _reference_arrays(model, batch, config)
+    y_hat = _reference_sigmoid(z)
+    dz = np.where(positive, weight * (y_hat - 1.0), y_hat) / len(batch)
+    g_user_factors = np.zeros_like(model.user_factors)
+    g_item_factors = np.zeros_like(model.item_factors)
+    g_user_bias = np.zeros_like(model.user_bias)
+    g_item_bias = np.zeros_like(model.item_bias)
+    np.add.at(g_user_bias, u_idx, dz)
+    np.add.at(g_item_bias, i_idx, dz)
+    np.add.at(g_user_factors, u_idx, dz[:, None] * model.item_factors[i_idx])
+    np.add.at(g_item_factors, i_idx, dz[:, None] * model.user_factors[u_idx])
+    if config.l2:
+        g_user_factors += config.l2 * model.user_factors
+        g_item_factors += config.l2 * model.item_factors
+        g_user_bias += config.l2 * model.user_bias
+        g_item_bias += config.l2 * model.item_bias
+    return Gradient(
+        g_user_factors, g_item_factors, g_user_bias, g_item_bias, float(np.sum(dz))
+    )
+
+
 def reference_train(
     samples: list[LabeledSample],
     config: TrainConfig,

@@ -371,6 +371,17 @@ class TestAnalyzeCommand:
         ) == 1
         assert not out.exists()
 
+    def test_negative_min_watch_seconds_fails_naming_field(
+        self, tmp_path, event_file, capsys
+    ):
+        assert run(
+            "analyze", "--events", event_file, "--out", tmp_path / "cohort.csv",
+            "--ref", "2024-06-01..2024-06-08", "--inv", "2024-06-08..2024-06-15",
+            "--min-watch-seconds", "-5",
+        ) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [event_file.name]
+        assert "min_watch_seconds" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_single_seed_schema(self, tmp_path):

@@ -196,6 +196,33 @@ class TestAnalyze:
         with pytest.raises(ValueError, match="bucket_edges"):
             self.config(Platform.VIDEO, edges)
 
+    @pytest.mark.parametrize("platform", ["video", "ecommerce", None])
+    def test_rejects_platform_that_is_not_a_platform(self, platform):
+        """A string platform used to construct and match no event, so every
+        user was silently excluded."""
+        with pytest.raises(ValueError, match="platform"):
+            self.config(platform)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), -5.0, -float("inf")])
+    def test_rejects_nan_or_negative_min_watch_seconds(self, seconds):
+        with pytest.raises(ValueError, match="min_watch_seconds"):
+            CohortConfig(
+                reference=REF,
+                investigation=INV,
+                platform=Platform.VIDEO,
+                min_watch_seconds=seconds,
+            )
+
+    def test_accepts_zero_and_infinite_min_watch_seconds(self):
+        for seconds in (0.0, float("inf")):
+            config = CohortConfig(
+                reference=REF,
+                investigation=INV,
+                platform=Platform.VIDEO,
+                min_watch_seconds=seconds,
+            )
+            assert config.min_watch_seconds == seconds
+
     def test_accepts_infinite_edge(self):
         assert self.config(edges=(10.0, float("inf"))).effective_edges[-1] == float("inf")
 

@@ -25,6 +25,7 @@ from oracles import (
     _reference_sigmoid,
     finite_difference_gradient,
     max_relative_gradient_error,
+    reference_gradient,
     reference_raw_score,
     reference_train,
     relabel_tolerance_as_negative,
@@ -100,20 +101,25 @@ class TestPredict:
 
 
 class TestSigmoid:
+    EDGES = [
+        0.0, -0.0, np.inf, -np.inf, float("nan"), -float("nan"), 710.0, -710.0,
+        745.0, -745.0, 746.0, -746.0, 36.8, -36.8, 1.7976931348623157e308,
+        -1.7976931348623157e308, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310,
+        -1e-310,
+    ]
+
     def test_bit_equal_to_masked_reference(self, rng):
-        """The mask-free form against the two-branch masked one, compared
-        as bit patterns: signed zeros, infinities, NaNs of both signs,
-        overflow of exp, subnormals, and ordinary values."""
-        nan = float("nan")
-        z = np.array(
-            [0.0, -0.0, np.inf, -np.inf, nan, -nan, 710.0, -710.0, 745.0,
-             -745.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310, -1e-310]
-        )
-        z = np.concatenate([z, rng.normal(0.0, 20.0, 1000)])
-        got = sigmoid(z)
-        assert got.view(np.uint64).tolist() == _reference_sigmoid(z.copy()).view(
-            np.uint64
-        ).tolist()
+        """The one-divide form against the two-branch masked one, compared
+        as raw bits: signed zeros, infinities, NaNs of both signs, overflow
+        and underflow of exp, the largest finite values, subnormals, and
+        200k ordinary values. Each edge value goes in as a Python float
+        too, as ``predict`` passes it."""
+        z = np.concatenate([self.EDGES, rng.normal(0.0, 20.0, 200_000)])
+        got = sigmoid(z).view(np.int64)
+        want = _reference_sigmoid(z.copy()).view(np.int64)
+        assert np.array_equal(got, want)
+        for value, bits in zip(self.EDGES, want.tolist()):
+            assert np.asarray(sigmoid(value)).view(np.int64) == bits, value
 
 
 class TestLoss:
@@ -230,6 +236,26 @@ class TestGradient:
         analytic = gradient(model, batch, config)
         numeric = finite_difference_gradient(model, batch, config)
         assert max_relative_gradient_error(analytic, numeric) < 1e-6
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_bit_equal_to_add_at_reference(self, objective, rng):
+        """The packed gather and ``np.bincount`` scatter against each
+        parameter array scattered on its own with ``np.add.at``, on a batch
+        that repeats users and items, with the L2 term."""
+        batch = random_batch(rng, n_users=4, n_items=6, n_samples=60)
+        assert len({s.user_id for s in batch}) < len(batch)
+        assert len({s.item_id for s in batch}) < len(batch)
+        model = random_model(
+            [s.user_id for s in batch], [s.item_id for s in batch], 3, rng
+        )
+        config = TrainConfig(objective=objective, l2=0.01)
+        got = gradient(model, batch, config)
+        want = reference_gradient(model, batch, config)
+        for attr in ("user_factors", "item_factors", "user_bias", "item_bias"):
+            assert np.array_equal(
+                getattr(got, attr).view(np.int64), getattr(want, attr).view(np.int64)
+            ), attr
+        assert got.global_bias == want.global_bias
 
 
 class TestTrainConfig:
@@ -351,6 +377,14 @@ class TestTrain:
             (batch, replace(base, objective=weak, batch_size=1), None),
             (batch, replace(base, dimension=1, l2=0.01), None),
             (lone, replace(base, objective=weak, batch_size=2), None),
+        ]
+        # A table much larger than each batch: most rows get no sample in a
+        # step, only the L2 decay or nothing.
+        catalog = random_batch(rng, n_users=20, n_items=200, n_samples=400)
+        assert len({s.item_id for s in catalog}) > 100
+        cases += [
+            (catalog, replace(base, objective=weak, batch_size=4, epochs=2), None),
+            (catalog, replace(base, batch_size=4, epochs=2, l2=0.01), None),
         ]
         for samples, config, init_model in cases:
             got = train(samples, config, init_model=init_model)
@@ -565,6 +599,16 @@ class TestSnapshot:
         lines[2] = lines[2].replace('"vector":[', '"vector":[0.5,')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"model\.txt: line 3: vector length is not 8"):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "content", ["", "\n\n", "not json\n", '{"format":\n', "[1, 2]\n"],
+        ids=["empty", "blank-lines", "not-json", "truncated-json", "json-list"],
+    )
+    def test_rejects_non_snapshot_naming_file(self, tmp_path, content):
+        path = tmp_path / "model.txt"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=r"model\.txt: not a model snapshot"):
             read_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
