@@ -245,17 +245,7 @@ class CausalLabeler:
 
     def extend(self, events: list[InteractionEvent]) -> list[LabeledSample]:
         """Label a (user, timestamp)-sorted batch and absorb it into state."""
-        if events and self._max_timestamp is not None:
-            earliest = min(e.timestamp for e in events)
-            if earliest <= self._max_timestamp:
-                raise ValueError(
-                    f"batch timestamp {earliest} not after previously seen "
-                    f"{self._max_timestamp}"
-                )
-        samples = _label(events, self, loo=False)
-        if events:
-            self._max_timestamp = max(e.timestamp for e in events)
-        return samples
+        return _label(events, self, loo=False)
 
 
 @dataclass
@@ -296,97 +286,288 @@ def _running_means(
     before = []
     excluded = np.zeros(len(skips))
     active = 0
+    count, mean = stats.count, stats.mean
     for index, ratio in enumerate(ratios):
         if active:
             head = excluded[:active]
-            head += (ratio - head) / stats.count
+            head += (ratio - head) / count
         if active < len(skips) and skips[active] == index:
-            excluded[active] = stats.mean
+            excluded[active] = mean
             active += 1
-        before.append(stats.mean)
-        stats.push(ratio)
+        before.append(mean)
+        count += 1  # BucketStats.push, on locals
+        mean += (ratio - mean) / count
+    stats.count, stats.mean = count, mean
     return before, excluded.tolist()
+
+
+def _list_means(
+    stats: list[BucketStats], ratios: np.ndarray, lengths: np.ndarray, loo: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Push many lists of ratios into their ``stats``, all lists at once.
+
+    ``ratios`` holds the lists end to end, ``lengths`` their lengths. Returns
+    a (count, mean) per ratio: the state of its list before it is pushed or,
+    with ``loo``, the list's final state with that ratio left out.
+
+    Sorted longest first, the lists still active at step ``k`` are a prefix,
+    and element ``k`` of each advances as one slice:
+    ``mean += (ratio - mean) / (start + k + 1)``, the operands of
+    :meth:`BucketStats.push` in its order, so the means are bit-identical to
+    pushing one ratio at a time. The leave-one-out trajectories of a list
+    advance the same way as :func:`_running_means`' skips, as a row of a 2-D
+    array with divisor ``start + k``. Lists go in groups whose lengths lie
+    within a factor of two, so that array holds at most twice the ratios.
+    """
+    offset = np.cumsum(lengths) - lengths
+    start = np.array([s.count for s in stats], dtype=np.int64)
+    mean = np.array([s.mean for s in stats], dtype=np.float64)
+    if loo:
+        count = np.repeat(start + lengths - 1, lengths)
+    else:
+        count = np.repeat(start - offset, lengths) + np.arange(len(ratios))
+    read = np.empty(len(ratios))
+    order = np.argsort(-lengths, kind="stable")
+    longest_first = lengths[order]
+    lo, busy = 0, np.count_nonzero(lengths)
+    while lo < busy:
+        steps = int(longest_first[lo])
+        hi = lo + np.count_nonzero(longest_first[lo:busy] > steps // 2)
+        group, size = order[lo:hi], longest_first[lo:hi]
+        # active[k]: how many of the group's lists have an element k.
+        active = np.searchsorted(-size, -np.arange(steps), side="left")
+        first, base, running = offset[group], start[group], mean[group]
+        skip = np.empty((hi - lo, steps)) if loo else None
+        for k, a in enumerate(active.tolist()):
+            at = first[:a] + k
+            ratio = ratios[at]
+            if loo:
+                head = skip[:a, :k]
+                head += (ratio[:, None] - head) / (base[:a, None] + k)
+                skip[:a, k] = running[:a]
+            else:
+                read[at] = running[:a]
+            running[:a] += (ratio - running[:a]) / (base[:a] + (k + 1))
+        if loo:
+            filled = np.arange(steps) < size[:, None]
+            read[(first[:, None] + np.arange(steps))[filled]] = skip[filled]
+        mean[group] = running
+        lo = hi
+    for s, total, final in zip(stats, (start + lengths).tolist(), mean.tolist()):
+        s.count, s.mean = total, final
+    return count, read
+
+
+def _first_of_instant(timestamps: np.ndarray, starts) -> np.ndarray:
+    """For lists laid end to end, each in time order and beginning at
+    ``starts``: the position of the first element of each element's list
+    with the same timestamp."""
+    first = np.ones(len(timestamps), dtype=bool)
+    first[1:] = timestamps[1:] != timestamps[:-1]
+    first[starts] = True
+    position = np.arange(len(timestamps))
+    position[~first] = 0
+    return np.maximum.accumulate(position, out=position)
+
+
+#: Codes of a label column: ``_CODE_LABELS[code]`` is the label.
+_NEGATIVE, _POSITIVE, _TOLERANCE = 0, 1, 2
+_CODE_LABELS = (Label.NEGATIVE, Label.POSITIVE, Label.TOLERANCE)
+_LABEL_CODES = {label: code for code, label in enumerate(_CODE_LABELS)}
 
 
 def _label(
     events: list[InteractionEvent], labeler: CausalLabeler, loo: bool
 ) -> list[LabeledSample]:
     """Label a (user, timestamp)-sorted batch and push every engaged ratio
-    into ``labeler``'s profiles and global mean.
-
-    Each clicked video event reads its (user, bucket) mean and, when that
-    history is short or beta uses the population baseline, the global mean:
-    causal mode as they stood before the event's instant, leave-one-out
-    mode over the whole batch minus the event itself. Means are exact
-    running means, not downdated sums: downdating drifts at the last ulp
-    and breaks exact-tie labels for repeated ratios. Cost: O(N log N)
-    Python steps; leave-one-out adds vector flops of O(L²) per
-    (user, bucket) list of length L and O(N · fallbacks) on the global list.
-    """
-    for prev, cur in zip(events, events[1:]):
-        if (cur.user_id, cur.timestamp) < (prev.user_id, prev.timestamp):
-            raise ValueError("events must be sorted by (user_id, timestamp)")
-    config = labeler.config
-    profiles = labeler.profiles
-    # Per-event state sits in flat lists by event position, which take about
-    # a third of the memory of dicts. Input order is (user, timestamp)
-    # order, so each (user, bucket) list of positions is in time order.
-    ratio = [0.0] * len(events)
-    bucket = [0] * len(events)
-    per_bucket: dict[tuple[str, int], list[int]] = {}
-    for k, event in enumerate(events):
-        if event.user_id not in profiles:
-            profiles[event.user_id] = UserProfile(event.user_id)
-        if event.platform is Platform.VIDEO and event.clicked:
-            ratio[k] = watch_ratio(event, config.ratio_cap)
-            bucket[k] = config.bucket_index(event.item_duration)
-            per_bucket.setdefault((event.user_id, bucket[k]), []).append(k)
-
-    def prior(stats: BucketStats, members: list[int], skips: Sequence[int]):
-        """Push the members' ratios; yield (position, count, mean) read."""
-        start = stats.count
-        before, excluded = _running_means(
-            stats, [ratio[k] for k in members], skips if loo else ()
-        )
-        if loo:
-            for i, mean in zip(skips, excluded):
-                yield members[i], stats.count - 1, mean
-            return
-        first = 0
-        for i, k in enumerate(members):
-            if events[k].timestamp != events[members[first]].timestamp:
-                first = i
-            yield k, start + first, before[first]
-
-    count = [0] * len(events)
-    bucket_mean = [0.0] * len(events)
-    for (user_id, b), members in per_bucket.items():
-        stats = profiles[user_id].buckets.setdefault(b, BucketStats())
-        for k, n, mean in prior(stats, members, range(len(members))):
-            count[k], bucket_mean[k] = n, mean
-
-    time_order = sorted(
-        (k for members in per_bucket.values() for k in members),
-        key=lambda k: (events[k].timestamp, k),
-    )
-    population = config.beta_baseline == "population"
-    skips = [
-        i
-        for i, k in enumerate(time_order)
-        if population or count[k] < config.min_history
-    ]
-    global_mean = [GLOBAL_MEAN_SEED] * len(events)
-    for k, total, mean in prior(labeler._global, time_order, skips):
-        if total:
-            global_mean[k] = mean
-
-    samples: list[LabeledSample] = []
-    for k, event in enumerate(events):
-        profile = UserProfile(event.user_id)
-        if count[k]:
-            profile.buckets[bucket[k]] = BucketStats(count[k], bucket_mean[k])
-        samples.append(label_event(event, profile, global_mean[k], config))
+    into ``labeler``'s profiles and global mean. The labels come from
+    :func:`_label_columns`, already checked as :class:`LabeledSample` would
+    check them, so each sample is built without its checks; the columns'
+    arrays are gone by then."""
+    code, betas = _label_columns(events, labeler, loo)
+    weights = iter(betas.tolist())
+    samples = []
+    for event, c in zip(events, code):
+        sample = _new(LabeledSample)
+        _set(sample, "user_id", event.user_id)
+        _set(sample, "item_id", event.item_id)
+        _set(sample, "timestamp", event.timestamp)
+        _set(sample, "label", _CODE_LABELS[c])
+        _set(sample, "beta", next(weights) if c == _TOLERANCE else None)
+        samples.append(sample)
     return samples
+
+
+@np.errstate(invalid="ignore")  # inf - inf is NaN, silently, as for Python floats
+def _label_columns(
+    events: list[InteractionEvent], labeler: CausalLabeler, loo: bool
+) -> tuple[bytearray, np.ndarray]:
+    """The events' label codes and, in input order, the tolerance samples'
+    betas; pushes every engaged ratio into ``labeler``.
+
+    One Python pass reads the events into columns and checks their order.
+    Each clicked video event then reads its (user, bucket) mean and, when
+    that history is short or beta uses the population baseline, the global
+    mean: causal mode as they stood before the event's instant, leave-one-out
+    mode over the whole batch minus the event itself. Means are exact running
+    means, not downdated sums: downdating drifts at the last ulp and breaks
+    exact-tie labels for repeated ratios. :func:`label_event`'s rule runs on
+    whole columns; its comparisons, divide and clamps are elementwise IEEE
+    operations, so they give the bits Python floats do.
+
+    Cost: O(N log N) plus one numpy step per element of the longest (user,
+    bucket) list; leave-one-out adds vector flops of O(L²) per list of
+    length L and O(N · fallbacks) on the global list.
+    """
+    config = labeler.config
+    cap, edges = config.ratio_cap, config.duration_bucket_edges
+    users: list[str] = []  # each user once, in input order
+    user_starts: list[int] = []
+    code = bytearray(len(events))  # _NEGATIVE unless set
+    # Clicked video events ("engaged"): position, capped ratio, bucket and
+    # timestamp, and which of them a follow-up action promotes.
+    engaged: list[int] = []
+    ratio: list[float] = []
+    bucket: list[int] = []
+    moment: list[int] = []
+    promoted: list[int] = []
+    prev_user = prev_ts = None
+    for k, event in enumerate(events):
+        user, ts = event.user_id, event.timestamp
+        if user != prev_user:
+            if k and user < prev_user:
+                raise ValueError("events must be sorted by (user_id, timestamp)")
+            users.append(user)
+            user_starts.append(k)
+            prev_user = user
+        elif ts < prev_ts:
+            raise ValueError("events must be sorted by (user_id, timestamp)")
+        prev_ts = ts
+        if not event.clicked:
+            continue
+        actions = event.followup_actions
+        if event.platform is Platform.VIDEO:
+            if actions and not actions.isdisjoint(VIDEO_POSITIVE_ACTIONS):
+                promoted.append(len(engaged))
+            engaged.append(k)
+            ratio.append(min(event.watch_duration / event.item_duration, cap))
+            bucket.append(bisect_right(edges, event.item_duration))
+            moment.append(ts)
+        elif actions & ECOMMERCE_POSITIVE_ACTIONS:
+            code[k] = _POSITIVE
+        else:
+            code[k] = _TOLERANCE
+
+    if events:
+        # Each user's events are in time order: the first and last bound them.
+        earliest = min(events[k].timestamp for k in user_starts)
+        latest = max(events[k - 1].timestamp for k in user_starts[1:] + [len(events)])
+        if labeler._max_timestamp is not None and earliest <= labeler._max_timestamp:
+            raise ValueError(
+                f"batch timestamp {earliest} not after previously seen "
+                f"{labeler._max_timestamp}"
+            )
+    for user in users:
+        if user not in labeler.profiles:
+            labeler.profiles[user] = UserProfile(user)
+
+    # Arrays in place of the lists, which go as they are rebound.
+    engaged = np.array(engaged, dtype=np.intp)
+    ratio = np.array(ratio, dtype=np.float64)
+    moment = np.array(moment)
+    # Each (user, bucket) list's key: the user's position in users times the
+    # bucket count, plus the bucket.
+    key = np.searchsorted(user_starts, engaged, side="right") - 1
+    key *= config.bucket_count
+    key += np.array(bucket, dtype=np.intp)
+    count, bucket_mean = _bucket_means(labeler, users, key, ratio, moment, loo)
+    global_mean = _global_means(labeler, ratio, moment, count, loo)
+
+    average = bucket_mean  # where the history is long enough, else global
+    np.copyto(average, global_mean, where=count < config.min_history)
+    positive = ratio >= average
+    if config.rule_mode is RuleMode.RATIO_OR_ACTION:
+        positive[promoted] = True
+    baseline = global_mean if config.beta_baseline == "population" else average
+    beta = np.zeros(len(ratio))
+    np.divide(ratio, baseline, out=beta, where=~(baseline <= 0.0))
+    np.copyto(beta, 0.0, where=0.0 > beta)  # max(beta, 0.0) as Python picks
+    np.copyto(beta, 1.0, where=1.0 < beta)  # then min(beta, 1.0)
+
+    codes = np.frombuffer(code, dtype=np.uint8)
+    codes[engaged] = np.where(positive, _POSITIVE, _TOLERANCE)
+    betas = np.zeros(len(events))
+    betas[engaged] = beta
+    tolerance = codes == _TOLERANCE
+    # LabeledSample's checks: beta is present exactly for tolerance, as _label
+    # builds the samples, and must lie in [0, 1].
+    bad = np.flatnonzero(tolerance & ~((0.0 <= betas) & (betas <= 1.0)))
+    if len(bad):
+        raise ValueError(f"beta {float(betas[bad[0]])} outside [0, 1]")
+    if events:
+        labeler._max_timestamp = latest
+    return code, betas[tolerance]
+
+
+def _bucket_means(
+    labeler: CausalLabeler,
+    users: list[str],
+    key: np.ndarray,
+    ratio: np.ndarray,
+    moment: np.ndarray,
+    loo: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, mean) each engaged event reads from its (user, bucket)
+    history, which ``key`` names (see :func:`_label`); pushes every ratio
+    into the profiles."""
+    # The (user, bucket) lists, laid end to end, each in time order.
+    grouped = np.argsort(key, kind="stable")
+    key = key[grouped]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    stats = []
+    for list_key in key[starts].tolist():
+        u, b = divmod(list_key, labeler.config.bucket_count)
+        stats.append(labeler.profiles[users[u]].buckets.setdefault(b, BucketStats()))
+    lengths = np.diff(starts, append=len(key))
+    count, mean = _list_means(stats, ratio[grouped], lengths, loo)
+    if not loo:
+        first = _first_of_instant(moment[grouped], starts)
+        count, mean = count[first], mean[first]
+    # From the lists' order back to the events'.
+    inverse = np.empty_like(grouped)
+    inverse[grouped] = np.arange(len(grouped))
+    return count[inverse], mean[inverse]
+
+
+def _global_means(
+    labeler: CausalLabeler,
+    ratio: np.ndarray,
+    moment: np.ndarray,
+    count: np.ndarray,
+    loo: bool,
+) -> np.ndarray:
+    """The global mean each engaged event reads, given the ``count`` of its
+    (user, bucket) history; pushes every ratio into the global mean in time
+    order. Leave-one-out reads it only where the rule uses it."""
+    stats = labeler._global
+    time_order = np.argsort(moment, kind="stable")
+    global_mean = np.full(len(ratio), GLOBAL_MEAN_SEED)
+    if loo:
+        config = labeler.config
+        uses = (count[time_order] < config.min_history) | (
+            config.beta_baseline == "population"
+        )
+        skips = np.flatnonzero(uses)
+        _, excluded = _running_means(stats, ratio[time_order].tolist(), skips.tolist())
+        if stats.count > 1:
+            global_mean[time_order[skips]] = excluded
+    else:
+        seen = stats.count
+        before, _ = _running_means(stats, ratio[time_order].tolist())
+        first = _first_of_instant(moment[time_order], [])
+        read = np.array(before)[first]
+        global_mean[time_order] = np.where(seen + first > 0, read, GLOBAL_MEAN_SEED)
+    return global_mean
 
 
 # ---------------------------------------------------------------------------

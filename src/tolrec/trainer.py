@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .labeling import Label, LabeledSample
+from .labeling import _LABEL_CODES, _POSITIVE, _TOLERANCE, Label, LabeledSample
 
 
 class Objective(Enum):
@@ -206,34 +206,29 @@ def _encode(
     ``-log(1 - score)``. Weights encode the objective's handling of
     tolerance samples.
     """
-    n = len(samples)
+    n, users, items = len(samples), model.users, model.items
     rows = np.empty((2, n), dtype=np.intp)
-    user_rows, item_rows = rows
-    first_item = len(model.users)
+    rows[0] = np.fromiter((users[s.user_id] for s in samples), np.intp, n)
+    rows[1] = np.fromiter((items[s.item_id] for s in samples), np.intp, n)
+    rows[1] += len(users)
+    code = np.fromiter((_LABEL_CODES[s.label] for s in samples), np.int8, n)
+    tolerance = code == _TOLERANCE
+    positive = np.where(
+        tolerance, config.objective is not Objective.TOLERANCE_AS_NEGATIVE,
+        code == _POSITIVE,
+    )
     weight = np.ones(n, dtype=np.float64)
-    positive = np.empty(n, dtype=bool)
-    for k, sample in enumerate(samples):
-        user_rows[k] = model.users[sample.user_id]
-        item_rows[k] = first_item + model.items[sample.item_id]
-        if sample.label is Label.POSITIVE:
-            positive[k] = True
-        elif sample.label is Label.NEGATIVE:
-            positive[k] = False
+    if config.objective is Objective.TOLERANCE_AS_WEAK_POSITIVE:
+        if config.fixed_beta is not None:
+            weight[tolerance] = config.fixed_beta
         else:
-            if config.objective is Objective.TOLERANCE_AS_NEGATIVE:
-                positive[k] = False
-            else:
-                positive[k] = True
-                if config.objective is Objective.TOLERANCE_AS_WEAK_POSITIVE:
-                    if config.fixed_beta is not None:
-                        weight[k] = config.fixed_beta
-                    elif sample.beta is not None:
-                        weight[k] = sample.beta
-                    else:
-                        raise ValueError(
-                            "tolerance sample lacks beta; supply fixed_beta or "
-                            "label with per-sample weights"
-                        )
+            betas = [samples[k].beta for k in np.flatnonzero(tolerance).tolist()]
+            if None in betas:
+                raise ValueError(
+                    "tolerance sample lacks beta; supply fixed_beta or "
+                    "label with per-sample weights"
+                )
+            weight[tolerance] = betas
     return rows, weight, positive
 
 
@@ -510,12 +505,25 @@ def read_model(path: str | Path) -> RankingModel:
         header = None
     if not isinstance(header, dict) or header.get("format") != "tolrec-model":
         raise ValueError(f"{path}: not a model snapshot")
+    for name in ("dimension", "users", "items", "global_bias"):
+        if name not in header:
+            raise ValueError(f"{path}: line {lines[0][0]}: header lacks {name!r}")
     dimension = header["dimension"]
     # Per kind: id -> row within the block, and the rows as [*vector, bias].
     blocks: dict[str, tuple[dict, list]] = {"user": ({}, []), "item": ({}, [])}
     for number, line in lines[1:]:
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {number}: invalid JSON ({exc.msg})") from None
+        if type(record) is not dict:
+            raise ValueError(f"{path}: line {number}: record must be a JSON object")
         key = "user" if "user" in record else "item"
+        if key not in record:
+            raise ValueError(f"{path}: line {number}: record lacks 'user' or 'item'")
+        for name in ("vector", "bias"):
+            if name not in record:
+                raise ValueError(f"{path}: line {number}: record lacks {name!r}")
         ids, rows = blocks[key]
         if record[key] in ids:
             raise ValueError(f"{path}: duplicate {key} {record[key]!r}")

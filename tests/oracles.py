@@ -339,6 +339,42 @@ def reference_raw_score(model: RankingModel, user_id: str, item_id: str) -> floa
     return z
 
 
+def reference_encode(
+    model: RankingModel, samples: list[LabeledSample], config: TrainConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_encode`` as a loop that sets the columns one sample at a time:
+    (table rows (2, n), positive weight, is_positive)."""
+    n = len(samples)
+    rows = np.empty((2, n), dtype=np.intp)
+    user_rows, item_rows = rows
+    first_item = len(model.users)
+    weight = np.ones(n, dtype=np.float64)
+    positive = np.empty(n, dtype=bool)
+    for k, sample in enumerate(samples):
+        user_rows[k] = model.users[sample.user_id]
+        item_rows[k] = first_item + model.items[sample.item_id]
+        if sample.label is Label.POSITIVE:
+            positive[k] = True
+        elif sample.label is Label.NEGATIVE:
+            positive[k] = False
+        else:
+            if config.objective is Objective.TOLERANCE_AS_NEGATIVE:
+                positive[k] = False
+            else:
+                positive[k] = True
+                if config.objective is Objective.TOLERANCE_AS_WEAK_POSITIVE:
+                    if config.fixed_beta is not None:
+                        weight[k] = config.fixed_beta
+                    elif sample.beta is not None:
+                        weight[k] = sample.beta
+                    else:
+                        raise ValueError(
+                            "tolerance sample lacks beta; supply fixed_beta or "
+                            "label with per-sample weights"
+                        )
+    return rows, weight, positive
+
+
 def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0

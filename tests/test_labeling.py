@@ -20,6 +20,7 @@ from tolrec.labeling import (
     tolerance_weight,
     watch_ratio,
 )
+from tolrec.labeling import _first_of_instant, _list_means
 
 from conftest import random_event_log
 from oracles import (
@@ -508,6 +509,24 @@ class TestLabelLog:
                 assert causal.global_mean == loo.global_mean, name
                 assert loo.global_mean == reference.global_mean, name
 
+    @pytest.mark.parametrize("mode", list(LabelingMode))
+    def test_beta_outside_unit_interval_rejected(self, mode):
+        """With no ratio cap, an infinite ratio makes the next running mean
+        inf - inf = NaN, so the following event's beta is NaN: the batch
+        fails as a LabeledSample with that beta would."""
+        config = LabelingConfig(
+            ratio_cap=float("inf"), min_history=1, duration_bucket_edges=()
+        )
+        events = [
+            video_event(ts=0, item="a", watch=1e308, duration=1e-10),
+            video_event(ts=1, item="b", watch=1.0, duration=10.0),
+            video_event(ts=2, item="c", watch=1.0, duration=10.0),
+        ]
+        with pytest.raises(ValueError, match=r"beta nan outside \[0, 1\]"):
+            label_log(events, config, mode)
+        with pytest.raises(ValueError, match=r"beta nan outside \[0, 1\]"):
+            reference_causal_extend(CausalLabeler(config), events)
+
     def test_extend_rejects_time_overlap(self):
         labeler = CausalLabeler(LabelingConfig())
         labeler.extend([video_event(ts=100, watch=1, duration=10)])
@@ -530,6 +549,107 @@ class TestLabelLog:
         got = labeler.extend(early) + labeler.extend(late)
         key = lambda s: (s.user_id, s.timestamp, s.item_id, s.label.value, s.beta)
         assert sorted(got, key=key) == sorted(whole, key=key)
+
+
+def random_lists(rng, n_lists=30):
+    """(starting (count, mean), ratios, timestamps) of (user, bucket) lists:
+    lengths 0-40, mostly nonzero starting state, ratios often repeated from
+    a small pool, and runs of equal timestamps."""
+    pool = rng.uniform(0.0, 1.0, 4).tolist()
+    lists = []
+    for _ in range(n_lists):
+        length = int(rng.integers(0, 41))
+        ratios = [
+            pool[int(rng.integers(len(pool)))] if rng.random() < 0.5 else float(rng.random())
+            for _ in range(length)
+        ]
+        timestamps = np.cumsum(rng.integers(0, 2, length)) + 100
+        count = int(rng.integers(0, 9))
+        start = (count, float(rng.random()) if count else 0.0)
+        lists.append((start, ratios, timestamps))
+    return lists
+
+
+class TestListMeans:
+    """The batched (user, bucket) running means against BucketStats.push,
+    one ratio at a time, compared with == on the floats."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_causal_reads_before_each_instant(self, seed):
+        lists = random_lists(np.random.default_rng(seed))
+        lengths = np.array([len(ratios) for _, ratios, _ in lists])
+        stats = [BucketStats(*start) for start, _, _ in lists]
+        count, mean = _list_means(
+            stats, np.array([r for _, ratios, _ in lists for r in ratios]), lengths, False
+        )
+        starts = (np.cumsum(lengths) - lengths)[lengths > 0]
+        first = _first_of_instant(np.concatenate([t for *_, t in lists]), starts)
+        expected, finals = [], []
+        for start, ratios, timestamps in lists:
+            pushed = BucketStats(*start)
+            for i, ratio in enumerate(ratios):
+                if i == 0 or timestamps[i] != timestamps[i - 1]:
+                    state = (pushed.count, pushed.mean)
+                expected.append(state)
+                pushed.push(ratio)
+            finals.append(pushed)
+        assert list(zip(count[first].tolist(), mean[first].tolist())) == expected
+        assert stats == finals
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leave_one_out_skips_each_ratio(self, seed):
+        lists = random_lists(np.random.default_rng(seed))
+        lengths = np.array([len(ratios) for _, ratios, _ in lists])
+        stats = [BucketStats(*start) for start, _, _ in lists]
+        count, mean = _list_means(
+            stats, np.array([r for _, ratios, _ in lists for r in ratios]), lengths, True
+        )
+        expected, finals = [], []
+        for start, ratios, _ in lists:
+            for skip in range(len(ratios)):
+                pushed = BucketStats(*start)
+                for i, ratio in enumerate(ratios):
+                    if i != skip:
+                        pushed.push(ratio)
+                expected.append((pushed.count, pushed.mean))
+            finals.append(BucketStats(*start))
+            for ratio in ratios:
+                finals[-1].push(ratio)
+        assert list(zip(count.tolist(), mean.tolist())) == expected
+        assert stats == finals
+
+
+#: random_event_log shapes: many users with short histories, few users with
+#: long ones, and most events in a handful of instants.
+SWEEP_SHAPES = {
+    "sparse": dict(n_events=240, n_users=120, ts_slots=100),
+    "dense": dict(n_events=240, n_users=6, ts_slots=100),
+    "one-instant": dict(n_events=240, n_users=20, ts_slots=3),
+}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_causal_sweep_matches_reference(seed):
+    """Causal labels, profiles and global mean equal the per-event loop on
+    each log shape and config, fed whole, a quarter of the log's time span
+    at a time (as the simulator feeds a day), and an instant at a time."""
+    for index, (shape, options) in enumerate(SWEEP_SHAPES.items()):
+        events = random_event_log(np.random.default_rng([seed, index]), **options)
+        period = 30 * options["ts_slots"] // 4 + 1
+        feeds = {"whole": [events]}
+        for feed, key in (("periods", period), ("instants", 1)):
+            batches: dict[int, list] = {}
+            for event in events:
+                batches.setdefault(event.timestamp // key, []).append(event)
+            feeds[feed] = [batches[b] for b in sorted(batches)]
+        for config in ORACLE_CONFIGS:
+            for feed, batches in feeds.items():
+                case = (seed, shape, feed, config)
+                labeler, reference = CausalLabeler(config), CausalLabeler(config)
+                for batch in batches:
+                    assert labeler.extend(batch) == reference_causal_extend(reference, batch), case
+                assert labeler.profiles == reference.profiles, case
+                assert labeler.global_mean == reference.global_mean, case
 
 
 class TestSampleSerialization:

@@ -1,3 +1,4 @@
+import json
 import math
 import textwrap
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 
 from tolrec.labeling import Label, LabeledSample
 from tolrec.trainer import (
+    _encode,
     DivergenceError,
     Objective,
     RankingModel,
@@ -27,6 +29,7 @@ from oracles import (
     max_relative_gradient_error,
     reference_gradient,
     reference_raw_score,
+    reference_encode,
     reference_train,
     relabel_tolerance_as_negative,
 )
@@ -200,6 +203,44 @@ class TestLoss:
             value = loss(model, batch, config) * len(batch)
             assert value >= last - 1e-12
             last = value
+
+
+class TestEncode:
+    @pytest.mark.parametrize("fixed_beta", [None, 0.3])
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_matches_reference_loop(self, rng, objective, fixed_beta):
+        batch = random_batch(rng, n_samples=80)
+        model = random_model([s.user_id for s in batch], [s.item_id for s in batch], 3, rng)
+        config = TrainConfig(objective=objective, fixed_beta=fixed_beta)
+        got = _encode(model, batch, config)
+        expected = reference_encode(model, batch, config)
+        for column, reference in zip(got, expected):
+            assert column.dtype == reference.dtype
+            assert np.array_equal(column, reference)
+
+    def test_empty_batch_keeps_shapes(self, rng):
+        model = random_model(["u1"], ["i1"], 3, rng)
+        rows, weight, positive = _encode(model, [], TrainConfig())
+        assert (rows.shape, rows.dtype) == ((2, 0), np.intp)
+        assert weight.shape == positive.shape == (0,)
+
+    def test_tolerance_sample_without_beta_rejected(self, rng):
+        batch = random_batch(rng, n_samples=40)
+        k = next(k for k, s in enumerate(batch) if s.label is Label.TOLERANCE)
+        object.__setattr__(batch[k], "beta", None)
+        model = random_model([s.user_id for s in batch], [s.item_id for s in batch], 3, rng)
+        weak = TrainConfig(objective=Objective.TOLERANCE_AS_WEAK_POSITIVE)
+        with pytest.raises(ValueError, match="tolerance sample lacks beta"):
+            _encode(model, batch, weak)
+        with pytest.raises(ValueError, match="tolerance sample lacks beta"):
+            reference_encode(model, batch, weak)
+        for config in (replace(weak, fixed_beta=0.5), TrainConfig()):
+            assert all(
+                np.array_equal(a, b)
+                for a, b in zip(
+                    _encode(model, batch, config), reference_encode(model, batch, config)
+                )
+            )
 
 
 class TestGradient:
@@ -599,6 +640,39 @@ class TestSnapshot:
         lines[2] = lines[2].replace('"vector":[', '"vector":[0.5,')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"model\.txt: line 3: vector length is not 8"):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda line: "{not json", "line 3: invalid JSON"),
+            (lambda line: "[1, 2]", "line 3: record must be a JSON object"),
+            (lambda line: line.replace('"user":', '"name":'), "line 3: record lacks 'user' or 'item'"),
+            (lambda line: line.replace('"vector":', '"v":'), "line 3: record lacks 'vector'"),
+            (lambda line: line.replace('"bias":', '"b":'), "line 3: record lacks 'bias'"),
+        ],
+        ids=["not-json", "not-object", "no-id", "no-vector", "no-bias"],
+    )
+    def test_rejects_bad_record_naming_file_and_line(self, tmp_path, rng, edit, message):
+        model = train(random_batch(rng, n_samples=20), TrainConfig(epochs=1)).model
+        path = tmp_path / "model.txt"
+        write_model(path, model)
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"model\.txt: " + message.replace("[", r"\[")):
+            read_model(path)
+
+    @pytest.mark.parametrize("key", ["dimension", "users", "items", "global_bias"])
+    def test_rejects_header_without_key_naming_file(self, tmp_path, rng, key):
+        model = train(random_batch(rng, n_samples=20), TrainConfig(epochs=1)).model
+        path = tmp_path / "model.txt"
+        write_model(path, model)
+        header, *rows = path.read_text().splitlines()
+        record = json.loads(header)
+        del record[key]
+        path.write_text("\n".join(["", json.dumps(record), *rows]) + "\n")
+        with pytest.raises(ValueError, match=rf"model\.txt: line 2: header lacks '{key}'"):
             read_model(path)
 
     @pytest.mark.parametrize(
