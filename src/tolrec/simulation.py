@@ -10,14 +10,15 @@ logistic return curve over trust. Items whose surface vectors diverge
 from their content vectors (``surface_true_correlation < 1``) are the
 clickbait that manufactures tolerance.
 
-Both arms face clones of the same population, identical per-user random
-streams, and one shared matrix of return-probability draws, so any
+Each arm is a separate run seeded from the same ``SimConfig``: it builds
+the same population, the same per-user random streams and the same matrix
+of return-probability draws, and shares nothing with its partner. So any
 difference between arms is attributable to the training objective alone.
 """
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -273,7 +274,7 @@ class DayArmStats:
 
 @dataclass
 class SimReport:
-    rows: list[DayArmStats] = field(default_factory=list)
+    rows: list[DayArmStats]
 
     def arm_rows(self, arm: str) -> list[DayArmStats]:
         return [r for r in self.rows if r.arm == arm]
@@ -326,37 +327,15 @@ class SimReport:
         return out
 
 
-class _Arm:
-    def __init__(
-        self,
-        name: str,
-        config: TrainConfig,
-        users: list[SimUser],
-        sim: SimConfig,
-    ):
-        self.name = name
-        self.config = config
-        self.users = [replace(u) for u in users]
-        self.user_by_id = {user.user_id: user for user in self.users}
-        # Seeded alike in every arm, so the arms' behaviour streams are
-        # identical and only the ranking differs.
-        self.rngs = [
-            np.random.default_rng([sim.seed, 17, u]) for u in range(sim.population)
-        ]
-        self.labeler = CausalLabeler(LabelingConfig(rule_mode=sim.rule_mode))
-        self.log: list[LabeledSample] = []
-        self.model: RankingModel | None = None
+def simulate_arm(name: str, config: TrainConfig, sim: SimConfig) -> list[DayArmStats]:
+    """Run one arm of the experiment and return its daily rows.
 
-
-def simulate_experiment(
-    config_a: TrainConfig, config_b: TrainConfig, sim: SimConfig
-) -> SimReport:
-    """Run the paired two-arm experiment and return the daily report.
-
-    Give both configs the same seed to keep model initialization paired;
-    everything else is paired by construction.
+    The arm builds its own population, ground truth, per-user generators,
+    labeler, log and model from ``sim``, so its rows depend only on
+    ``config`` and ``sim``: never on its partner or its position.
     """
     users, items = generate_population(sim)
+    user_by_id = {user.user_id: user for user in users}
     item_ids = [it.item_id for it in items]
     catalog_index = {item_id: j for j, item_id in enumerate(item_ids)}
     # Ground truth fixed for the run. Plain einsum sums in numpy's own loop,
@@ -364,83 +343,91 @@ def simulate_experiment(
     tastes = [user.true_affinity for user in users]
     appeal = np.einsum("ud,id->ui", tastes, [it.surface for it in items])
     experience = np.einsum("ud,id->ui", tastes, [it.true_content for it in items])
-    arms = [
-        _Arm("A", config_a, users, sim),
-        _Arm("B", config_b, users, sim),
-    ]
-    # One shared matrix of return draws: retention differs only where trust does.
+    # Seeded alike in every arm, so the arms' behaviour streams and return
+    # draws are identical and only the ranking differs.
+    rngs = [np.random.default_rng([sim.seed, 17, u]) for u in range(sim.population)]
     return_draws = np.random.default_rng([sim.seed, 23]).random(
         (sim.population, sim.days + 1)
     )
+    labeler = CausalLabeler(LabelingConfig(rule_mode=sim.rule_mode))
+    log: list[LabeledSample] = []
+    model: RankingModel | None = None
 
-    report = SimReport()
+    rows = []
     for day in range(1, sim.days + 1):
-        for arm in arms:
-            active = [u for u, user in enumerate(arm.users) if user.active]
-            events: list[InteractionEvent] = []
-            for u in active:
-                user, rng = arm.users[u], arm.rngs[u]
-                pool_idx = rng.choice(sim.catalog, size=sim.candidate_pool, replace=False)
-                pool = [item_ids[j] for j in pool_idx]
-                if arm.model is None:
-                    slate = pool[: sim.slate_size]
-                else:
-                    slate = arm.model.rank(user.user_id, pool)[: sim.slate_size]
-                for slot, item_id in enumerate(slate):
-                    j = catalog_index[item_id]
-                    timestamp = day * DAY_SECONDS + slot * 60
-                    # Python floats: an np.float64 would reach watch_duration.
-                    events.append(user_response(
-                        user, items[j], float(appeal[u, j]), float(experience[u, j]),
-                        rng, timestamp, sim,
-                    ))
+        active = [u for u, user in enumerate(users) if user.active]
+        events: list[InteractionEvent] = []
+        for u in active:
+            user, rng = users[u], rngs[u]
+            pool_idx = rng.choice(sim.catalog, size=sim.candidate_pool, replace=False)
+            pool = [item_ids[j] for j in pool_idx]
+            if model is None:
+                slate = pool[: sim.slate_size]
+            else:
+                slate = model.rank(user.user_id, pool)[: sim.slate_size]
+            for slot, item_id in enumerate(slate):
+                j = catalog_index[item_id]
+                timestamp = day * DAY_SECONDS + slot * 60
+                # Python floats: an np.float64 would reach watch_duration.
+                events.append(user_response(
+                    user, items[j], float(appeal[u, j]), float(experience[u, j]),
+                    rng, timestamp, sim,
+                ))
 
-            events.sort(key=lambda e: (e.user_id, e.timestamp))
-            samples = arm.labeler.extend(events)
-            tolerance_events = 0
-            for event, sample in zip(events, samples):
-                if sample.label is Label.TOLERANCE:
-                    if not event.clicked:
-                        raise AssertionError(
-                            "labeler produced a tolerance label for a non-click"
-                        )
-                    tolerance_events += 1
-                update_trust(arm.user_by_id[sample.user_id], sample.label, sim)
-            arm.log.extend(samples)
+        events.sort(key=lambda e: (e.user_id, e.timestamp))
+        samples = labeler.extend(events)
+        tolerance_events = 0
+        for event, sample in zip(events, samples):
+            if sample.label is Label.TOLERANCE:
+                if not event.clicked:
+                    raise AssertionError(
+                        "labeler produced a tolerance label for a non-click"
+                    )
+                tolerance_events += 1
+            update_trust(user_by_id[sample.user_id], sample.label, sim)
+        log.extend(samples)
 
-            if arm.log:
-                init = arm.model if sim.warm_start else None
-                arm.model = train(
-                    arm.log, arm.config, init_model=init, history=False
-                ).model
+        if log:
+            init = model if sim.warm_start else None
+            model = train(log, config, init_model=init, history=False).model
 
-            dwell: dict[str, float] = {arm.users[u].user_id: 0.0 for u in active}
-            for event in events:
-                dwell[event.user_id] += event.watch_duration
-            retained = 0
-            for u in range(sim.population):
-                user = arm.users[u]
-                next_active = bool(
-                    return_draws[u, day - 1]
-                    < RETURN_CURVE.probability(user.trust)
-                )
-                if user.active and next_active:
-                    retained += 1
-                user.active = next_active
-            report.rows.append(
-                DayArmStats(
-                    day=day,
-                    arm=arm.name,
-                    active_users=len(active),
-                    retention=retained / len(active) if active else 0.0,
-                    dwell_mean=(
-                        sum(dwell.values()) / len(dwell) if dwell else 0.0
-                    ),
-                    impressions=len(events),
-                    tolerance_events=tolerance_events,
-                )
+        dwell: dict[str, float] = {users[u].user_id: 0.0 for u in active}
+        for event in events:
+            dwell[event.user_id] += event.watch_duration
+        retained = 0
+        for u, user in enumerate(users):
+            next_active = bool(
+                return_draws[u, day - 1] < RETURN_CURVE.probability(user.trust)
             )
-    return report
+            if user.active and next_active:
+                retained += 1
+            user.active = next_active
+        rows.append(
+            DayArmStats(
+                day=day,
+                arm=name,
+                active_users=len(active),
+                retention=retained / len(active) if active else 0.0,
+                dwell_mean=sum(dwell.values()) / len(dwell) if dwell else 0.0,
+                impressions=len(events),
+                tolerance_events=tolerance_events,
+            )
+        )
+    return rows
+
+
+def simulate_experiment(
+    config_a: TrainConfig, config_b: TrainConfig, sim: SimConfig
+) -> SimReport:
+    """Run the paired two-arm experiment and return the daily report, arm A
+    then arm B for each day.
+
+    Give both configs the same seed to keep model initialization paired;
+    everything else is paired by construction.
+    """
+    rows_a = simulate_arm("A", config_a, sim)
+    rows_b = simulate_arm("B", config_b, sim)
+    return SimReport([row for pair in zip(rows_a, rows_b) for row in pair])
 
 
 DAILY_REPORT_HEADER = [

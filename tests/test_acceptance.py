@@ -1,12 +1,14 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+from tolrec import simulation
 from tolrec.cli import main as cli_main
 from tolrec.cohort import CohortConfig, analyze
 from tolrec.events import InteractionEvent, Platform, TimeWindow, write_events
@@ -61,6 +63,21 @@ def mean_and_se(values: list[float]) -> tuple[float, float]:
     """Mean and standard error of paired per-seed deltas."""
     se = float(np.std(values, ddof=1) / math.sqrt(len(values)))
     return float(np.mean(values)), se
+
+
+@pytest.fixture(scope="module")
+def _arm_cache():
+    return functools.cache(simulation.simulate_arm)
+
+
+@pytest.fixture
+def shared_arms(_arm_cache, monkeypatch):
+    """Simulate each distinct arm once per module run. An arm's rows depend
+    only on its name, train config and sim config (see
+    ``test_arm_does_not_depend_on_partner_or_position``), so criteria 08
+    and 09 A/A share their standard arms. Criterion 10 does not use this:
+    its second pipeline run must simulate afresh."""
+    monkeypatch.setattr(simulation, "simulate_arm", _arm_cache)
 
 
 def sim_train_config(objective: Objective, seed: int) -> TrainConfig:
@@ -300,6 +317,7 @@ def _ecom_event(user, ts, clicked, actions=()):
     )
 
 
+@pytest.mark.usefixtures("shared_arms")
 @pytest.mark.parametrize(
     "treated",
     [Objective.TOLERANCE_AS_NEGATIVE, Objective.TOLERANCE_AS_WEAK_POSITIVE],
@@ -369,6 +387,7 @@ def test_criterion_09_null_effect_without_trust_decay():
     )
 
 
+@pytest.mark.usefixtures("shared_arms")
 def test_criterion_09_calibration_standard_vs_standard():
     """A/A calibration for 09 at the default trust decay: two standard arms
     whose models differ only in their train seed give paired deltas that

@@ -13,6 +13,7 @@ from tolrec.simulation import (
     SimConfig,
     SimUser,
     generate_population,
+    simulate_arm,
     simulate_experiment,
     update_trust,
     user_response,
@@ -329,14 +330,31 @@ class TestSimulateExperiment:
             train_config(Objective.TOLERANCE_AS_WEAK_POSITIVE),
             small_sim(seed=8),
         )
-        # One extend call per arm-day, in the order of the report's rows.
-        assert len(days) == len(report.rows)
-        for row, events in zip(report.rows, days):
+        # One extend call per arm-day: all of arm A's days, then arm B's.
+        rows = report.arm_rows("A") + report.arm_rows("B")
+        assert len(days) == len(rows) == len(report.rows)
+        for row, events in zip(rows, days):
             dwell = {}
             for event in events:
                 dwell[event.user_id] = dwell.get(event.user_id, 0.0) + event.watch_duration
             assert len(dwell) == row.active_users
             assert sum(dwell.values()) / len(dwell) == row.dwell_mean
+
+    @pytest.mark.parametrize("warm_start", [False, True])
+    def test_arm_does_not_depend_on_partner_or_position(self, warm_start):
+        """An arm's full-precision rows are the same alone, as arm A beside
+        either partner, and as arm B (but for its name)."""
+        sim = small_sim(seed=5, warm_start=warm_start)
+        arm = train_config(Objective.TOLERANCE_AS_WEAK_POSITIVE)
+        alone = simulate_arm("A", arm, sim)
+        assert [row.day for row in alone] == list(range(1, sim.days + 1))
+        for partner in (
+            train_config(Objective.STANDARD),
+            train_config(Objective.TOLERANCE_AS_NEGATIVE, seed=1),
+        ):
+            assert simulate_experiment(arm, partner, sim).arm_rows("A") == alone
+            as_b = simulate_experiment(partner, arm, sim).arm_rows("B")
+            assert [replace(row, arm="A") for row in as_b] == alone
 
     def test_tolerance_label_on_non_click_fails_loudly(self, monkeypatch):
         """The in-loop fidelity check fires when the labeler marks a
