@@ -115,6 +115,8 @@ _OBJECTIVES = _choices(Objective)
 _OUT = {"out": (..., str, "primary output file")}
 _BETA = ("from-samples", str, "'from-samples' or 'fixed:<v>'")
 _RULE = ("ratio-or-action", _choices(RuleMode))
+#: Kept so manifest configs stay as they were; ingest is one serial pass.
+_THREADS = (1, int, "must be 1: ingest is serial, since JSON parsing holds the GIL")
 
 #: Every option of every command: ``name -> (default, kind[, help])``.
 #: ``kind`` is ``int``, ``float``, ``str``, ``bool`` (a bare switch) or a
@@ -132,7 +134,7 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "ratio_cap": (1.0, float),
         "beta_baseline": ("user", ["user", "population"]),
         "profiles_out": (None, str, "profile snapshot path"),
-        "threads": (1, int),
+        "threads": _THREADS,
     },
     "train": _OUT | {
         "samples": (..., str, "labeled sample JSONL file"),
@@ -160,7 +162,7 @@ OPTIONS: dict[str, dict[str, tuple]] = {
         "ratio_cap": (1.0, float),
         "min_watch_seconds": (0.0, float),
         "plot_out": (None, str),
-        "threads": (1, int),
+        "threads": _THREADS,
     },
     "simulate": _OUT | {
         "seeds": (1, int, "number of paired seeds"),
@@ -298,9 +300,9 @@ def _train_config(resolved: dict, objective: str, seed: int) -> TrainConfig:
 
 
 def _ingest(resolved: dict) -> list[InteractionEvent]:
-    if resolved["threads"] < 1:
-        raise ValueError(f"threads must be >= 1, got {resolved['threads']}")
-    result = ingest_log(resolved["events"], workers=resolved["threads"])
+    if resolved["threads"] != 1:
+        raise ValueError("threads must be 1 (ingest is serial)")
+    result = ingest_log(resolved["events"])
     if result.rejected_count:
         print(
             f"note: rejected {result.rejected_count} malformed lines",
@@ -324,8 +326,8 @@ def _cmd_label(resolved: dict, outputs: list[str]) -> None:
 
 
 def _cmd_train(resolved: dict, outputs: list[str]) -> None:
-    samples = read_samples(resolved["samples"])
     config = _train_config(resolved, resolved["objective"], resolved["seed"])
+    samples = read_samples(resolved["samples"])
     if resolved["neg_sample"]:
         catalog = [s.item_id for s in samples]
         before = len(samples)

@@ -18,7 +18,6 @@ surfaces early.
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -263,43 +262,30 @@ class IngestResult:
         return len(self.rejected)
 
 
-def _parse_or_reject(
-    numbered: tuple[int, str],
-) -> tuple[InteractionEvent | None, tuple[int, str] | None]:
-    number, line = numbered
-    try:
-        return parse_event(line, number), None
-    except (EventParseError, EventValidationError) as exc:
-        return None, (number, str(exc))
-
-
-def ingest_log(path: str | Path, workers: int = 1) -> IngestResult:
+def ingest_log(path: str | Path) -> IngestResult:
     """Read an event file, tolerating out-of-order and malformed lines.
 
-    Blank lines are skipped. Output is sorted by (user_id, timestamp),
-    which downstream causal labeling relies on. Raises
-    :class:`LogFormatError` if more than half the non-blank lines are
-    rejected, since that indicates the wrong file format rather than a
-    few bad records. Parsing may fan out over ``workers`` threads; the
-    final sort keeps the result deterministic either way.
+    One serial pass streams the file: blank lines are skipped, and each
+    other line becomes an event or a ``(line number, message)`` rejection.
+    Output is sorted by (user_id, timestamp), which downstream causal
+    labeling relies on. Raises :class:`LogFormatError` if more than half
+    the non-blank lines are rejected, since that indicates the wrong file
+    format rather than a few bad records.
     """
+    events: list[InteractionEvent] = []
+    rejected: list[tuple[int, str]] = []
     with open(path, encoding="utf-8") as handle:
-        numbered = [
-            (i, line) for i, line in enumerate(handle, start=1) if line.strip()
-        ]
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                events.append(parse_event(line, number))
+            except (EventParseError, EventValidationError) as exc:
+                rejected.append((number, str(exc)))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_parse_or_reject, numbered))
-    else:
-        outcomes = [_parse_or_reject(pair) for pair in numbered]
-
-    events = [event for event, _ in outcomes if event is not None]
-    rejected = [reject for _, reject in outcomes if reject is not None]
-
-    if numbered and len(rejected) * 2 > len(numbered):
+    if len(rejected) > len(events):
         raise LogFormatError(
-            f"{len(rejected)} of {len(numbered)} lines rejected; "
+            f"{len(rejected)} of {len(events) + len(rejected)} lines rejected; "
             f"this does not look like an event log (first: "
             f"line {rejected[0][0]}: {rejected[0][1]})"
         )

@@ -152,6 +152,8 @@ class SimConfig:
             raise ValueError("slate_size cannot exceed candidate_pool")
         if self.candidate_pool > self.catalog:
             raise ValueError("candidate_pool cannot exceed catalog")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def generate_population(config: SimConfig) -> tuple[list[SimUser], list[SimItem]]:

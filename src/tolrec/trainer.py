@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError("l2 must be non-negative")
         if self.fixed_beta is not None and not 0.0 <= self.fixed_beta <= 1.0:
             raise ValueError("fixed_beta must lie in [0, 1]")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def sigmoid(z):

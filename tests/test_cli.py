@@ -50,15 +50,6 @@ class TestLabelCommand:
         assert manifest["config"]["mode"] == "causal"
         assert str(event_file) in manifest["inputs"]
 
-    def test_threaded_ingest_matches_serial(self, tmp_path, event_file):
-        serial = tmp_path / "serial.jsonl"
-        threaded = tmp_path / "threaded.jsonl"
-        assert run("label", "--events", event_file, "--out", serial) == 0
-        assert run(
-            "label", "--events", event_file, "--out", threaded, "--threads", "4"
-        ) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_non_finite_watch_is_a_rejected_line(self, tmp_path, capsys):
         """A NaN watch time is counted as a rejected line instead of
         reaching the labeler and poisoning the user's bucket mean, and an
@@ -119,9 +110,9 @@ class TestLabelCommand:
         assert run("label", "--events", tmp_path / "nope.jsonl", "--out", out) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("threads", ["0", "-1", "2"])
     @pytest.mark.parametrize("command", ["label", "analyze"])
-    def test_rejects_fewer_than_one_thread(
+    def test_rejects_threads_other_than_one(
         self, tmp_path, event_file, capsys, command, threads
     ):
         windows = ["--ref", "2024-06-01..2024-06-08", "--inv", "2024-06-08..2024-06-15"]
@@ -411,6 +402,15 @@ class TestSimulateCommand:
         assert run("simulate", "--out", out, "--seeds", seeds) == 1
         assert list(tmp_path.iterdir()) == []
         assert "seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_negative_seed_fails_by_name(tmp_path, capsys, command):
+    # `train` gets no samples file: the seed must fail before it is read.
+    argv = ["--samples", tmp_path / "absent.jsonl"] * (command == "train")
+    assert run(command, *argv, "--out", tmp_path / "out", "--seed", "-1") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -239,16 +239,6 @@ def test_ingest_is_permutation_of_input(tmp_path, rng):
     )
 
 
-def test_ingest_parallel_matches_serial(tmp_path, rng):
-    events = random_event_log(rng, n_events=300)
-    path = tmp_path / "events.jsonl"
-    write_events(path, events)
-    serial = ingest_log(path, workers=1)
-    parallel = ingest_log(path, workers=4)
-    assert serial.events == parallel.events
-    assert serial.rejected == parallel.rejected
-
-
 def test_ingest_aborts_on_format_mismatch(tmp_path):
     path = tmp_path / "bogus.csv"
     good = event_to_json(InteractionEvent("u1", "i1", 1, Platform.ECOMMERCE, False))

@@ -157,18 +157,27 @@ def test_actions_checked_before_watch():
         parse_event(TWO_FAULTS[0])
 
 
+#: Lines that ``str.strip`` empties, so ingest skips them but still counts them.
+BLANK_LINES = ["", " ", "\t  ", "\x0c", "\u3000 "]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ingest_matches_reference_on_fixture_log(tmp_path, seed):
     """A fixture log with 1% of its lines truncated, as the benchmark's
-    sparse log is built, and the bad-line corpus mixed in."""
+    sparse log is built, the bad-line corpus and blank lines mixed in.
+    Seed 2 ends its lines with CRLF and has no final newline."""
     events = generate_fixture_events(n_events=3000, n_users=300, n_items=500, seed=seed)
     lines = [reference_event_to_json(event) for event in events]
-    for k in random.Random(seed).sample(range(len(lines)), len(lines) // 100):
+    draw = random.Random(seed)
+    for k in draw.sample(range(len(lines)), len(lines) // 100):
         lines[k] = lines[k][: len(lines[k]) // 2]
     for k, bad in enumerate(ONE_FAULT + TWO_FAULTS):
         lines.insert(37 * k + seed, bad)
+    for k in sorted(draw.sample(range(len(lines)), 60), reverse=True):
+        lines.insert(k, BLANK_LINES[k % len(BLANK_LINES)])
+    newline, end = ("\r\n", "") if seed == 2 else ("\n", "\n")
     path = tmp_path / "events.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes((newline.join(lines) + end).encode("utf-8"))
 
     result = ingest_log(path)
     events_ref, rejected_ref = reference_ingest(path)

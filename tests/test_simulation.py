@@ -88,6 +88,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="rule_mode"):
             small_sim(rule_mode=rule_mode)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, "0", True, None])
+    def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            small_sim(seed=seed)
+
 
 class TestGeneratePopulation:
     def test_perfect_correlation_makes_surface_equal_content(self):

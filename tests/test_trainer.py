@@ -319,6 +319,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, "0", True, None])
+    def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=seed)
+
 
 class TestTrain:
     def separable_batch(self):
