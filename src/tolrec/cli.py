@@ -312,9 +312,9 @@ def _ingest(resolved: dict) -> list[InteractionEvent]:
 
 
 def _cmd_label(resolved: dict, outputs: list[str]) -> None:
-    events = _ingest(resolved)
     config = _labeling_config(resolved)
-    labeled = label_log(events, config, LabelingMode(resolved["mode"]))
+    mode = LabelingMode(resolved["mode"])
+    labeled = label_log(_ingest(resolved), config, mode)
     out = resolved["out"]
     profiles_out = resolved["profiles_out"] or out + ".profiles"
     resolved["profiles_out"] = profiles_out
@@ -350,7 +350,6 @@ def _cmd_train(resolved: dict, outputs: list[str]) -> None:
 
 
 def _cmd_analyze(resolved: dict, outputs: list[str]) -> None:
-    events = _ingest(resolved)
     config = CohortConfig(
         reference=parse_window(resolved["ref"]),
         investigation=parse_window(resolved["inv"]),
@@ -359,7 +358,7 @@ def _cmd_analyze(resolved: dict, outputs: list[str]) -> None:
         min_watch_seconds=resolved["min_watch_seconds"],
     )
     labeling = LabelingConfig(ratio_cap=resolved["ratio_cap"])
-    report = analyze(events, config, labeling)
+    report = analyze(_ingest(resolved), config, labeling)
     if report.empty:
         print("warning: no users with reference-window engagement", file=sys.stderr)
     out = resolved["out"]

@@ -1,21 +1,24 @@
 """Reference-week vs investigation-week engagement decline analysis.
 
 Users active in a reference window are bucketed by how much tolerance
-behavior they showed there (click-without-action counts for e-commerce,
-mean watch ratio for video), and each bucket reports the share of users
-whose engagement strictly dropped in a later investigation window. Users
-with no reference-window engagement are excluded and counted, since a
-decline from zero is undefined.
+behavior they showed there (clicks with no cart/favorite/purchase action
+for e-commerce, mean capped watch ratio for video), and each bucket
+reports the share of users whose engagement strictly dropped in a later
+investigation window. :func:`analyze` reads the log once, in any order.
+Every user in the log with no reference-window engagement on the platform,
+other-platform users included, is excluded and counted, since a decline
+from zero is undefined.
 """
 
 import csv
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 from .events import InteractionEvent, Platform, TimeWindow
 from .labeling import (
-    Label, LabelingConfig, UserProfile, check_edges, label_event, watch_ratio
+    ECOMMERCE_POSITIVE_ACTIONS, LabelingConfig, check_edges, watch_ratio
 )
 
 #: Tolerance-count bucket edges for e-commerce: 0-9, 10-19, 20-49, 50+.
@@ -79,58 +82,6 @@ class CohortReport:
         return self.considered == 0
 
 
-def engagement(
-    events: list[InteractionEvent],
-    window: TimeWindow,
-    platform: Platform,
-    min_watch_seconds: float = 0.0,
-) -> int:
-    """Clicked events of one user inside the window (watched videos or
-    clicked items)."""
-    count = 0
-    for event in events:
-        if event.platform is not platform or not event.clicked:
-            continue
-        if not window.contains(event.timestamp):
-            continue
-        if (
-            platform is Platform.VIDEO
-            and event.watch_duration < min_watch_seconds
-        ):
-            continue
-        count += 1
-    return count
-
-
-def tolerance_stat(
-    events: list[InteractionEvent],
-    window: TimeWindow,
-    platform: Platform,
-    labeling: LabelingConfig,
-) -> float | None:
-    """Per-user tolerance statistic over one window.
-
-    E-commerce: the number of tolerance-labeled events (clicks with no
-    cart/favorite/purchase follow-up). Video: the mean capped watch ratio
-    over engaged events, or None when the user watched nothing there.
-    """
-    in_window = [
-        e for e in events if e.platform is platform and window.contains(e.timestamp)
-    ]
-    if platform is Platform.ECOMMERCE:
-        count = 0
-        for event in in_window:
-            profile = UserProfile(event.user_id)
-            sample = label_event(event, profile, 0.5, labeling)
-            if sample.label is Label.TOLERANCE:
-                count += 1
-        return float(count)
-    ratios = [watch_ratio(e, labeling.ratio_cap) for e in in_window if e.clicked]
-    if not ratios:
-        return None
-    return sum(ratios) / len(ratios)
-
-
 def _bucket_labels(edges: tuple[float, ...]) -> list[str]:
     labels = [f"<{edges[0]:g}"]
     labels += [f"[{a:g},{b:g})" for a, b in zip(edges, edges[1:])]
@@ -145,48 +96,54 @@ def analyze(
 ) -> CohortReport:
     """Bucket users by reference-window tolerance and measure the share
     whose investigation-window engagement strictly declined (ties count
-    as retained)."""
-    by_user: dict[str, list[InteractionEvent]] = {}
+    as retained). One pass over ``events``, in any order; every user in
+    the log without reference-window engagement is counted as excluded."""
+    video = config.platform is Platform.VIDEO
+    # Per user: reference engagement, investigation engagement, and the
+    # terms of the reference statistic in input order: capped watch ratios
+    # for video, clicks with no positive action for e-commerce.
+    tallies = defaultdict(lambda: [0, 0, []])
     for event in events:
-        by_user.setdefault(event.user_id, []).append(event)
+        tally = tallies[event.user_id]
+        if event.platform is not config.platform or not event.clicked:
+            continue
+        if config.reference.contains(event.timestamp):
+            window = 0
+            if video:
+                tally[2].append(watch_ratio(event, labeling.ratio_cap))
+            elif not event.followup_actions & ECOMMERCE_POSITIVE_ACTIONS:
+                tally[2].append(event)
+        elif config.investigation.contains(event.timestamp):
+            window = 1
+        else:
+            continue
+        if not (video and event.watch_duration < config.min_watch_seconds):
+            tally[window] += 1
 
     edges = config.effective_edges
     labels = _bucket_labels(edges)
     users = [0] * len(labels)
     declines = [0] * len(labels)
-    considered = 0
-    excluded = 0
-    for user_id in sorted(by_user):
-        user_events = by_user[user_id]
-        ref = engagement(
-            user_events, config.reference, config.platform, config.min_watch_seconds
-        )
+    for user_id in sorted(tallies):
+        ref, inv, terms = tallies[user_id]
         if ref == 0:
-            excluded += 1
             continue
-        stat = tolerance_stat(user_events, config.reference, config.platform, labeling)
-        if stat is None:
-            excluded += 1
-            continue
-        considered += 1
-        inv = engagement(
-            user_events,
-            config.investigation,
-            config.platform,
-            config.min_watch_seconds,
-        )
+        # Reference engagement means a video user's ratio list is not empty.
+        # Summed whole, not as a running total: sum() is compensated from 3.12.
+        stat = sum(terms) / len(terms) if video else float(len(terms))
         bucket = bisect_right(edges, stat)
         users[bucket] += 1
         if inv < ref:
             declines[bucket] += 1
 
+    considered = sum(users)
     return CohortReport(
         buckets=[
             BucketReport(label=lab, users=u, declines=d)
             for lab, u, d in zip(labels, users, declines)
         ],
         considered=considered,
-        excluded=excluded,
+        excluded=len(tallies) - considered,
     )
 
 

@@ -6,16 +6,18 @@ rather than sharing code with the implementations they verify.
 """
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from tolrec.cohort import BucketReport, CohortConfig, CohortReport
 from tolrec.events import (
     ACTION_VOCABULARY,
     EventParseError,
     EventValidationError,
     InteractionEvent,
     Platform,
+    TimeWindow,
 )
 from tolrec.labeling import (
     GLOBAL_MEAN_SEED,
@@ -682,3 +684,121 @@ def reference_write_profiles(path, profiles: dict[str, UserProfile]) -> None:
                     "mean": stats.mean,
                 }
                 handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Cohort analysis as it was before it became one pass over the log: events
+# copied into per-user lists, each list scanned once per window, and the
+# e-commerce statistic counted by running the scalar labeler on each event.
+# ---------------------------------------------------------------------------
+
+
+def _engagement(
+    events: list[InteractionEvent],
+    window: TimeWindow,
+    platform: Platform,
+    min_watch_seconds: float = 0.0,
+) -> int:
+    """Clicked events of one user inside the window (watched videos or
+    clicked items)."""
+    count = 0
+    for event in events:
+        if event.platform is not platform or not event.clicked:
+            continue
+        if not window.contains(event.timestamp):
+            continue
+        if (
+            platform is Platform.VIDEO
+            and event.watch_duration < min_watch_seconds
+        ):
+            continue
+        count += 1
+    return count
+
+
+def _tolerance_stat(
+    events: list[InteractionEvent],
+    window: TimeWindow,
+    platform: Platform,
+    labeling: LabelingConfig,
+) -> float | None:
+    """Per-user tolerance statistic over one window.
+
+    E-commerce: the number of tolerance-labeled events (clicks with no
+    cart/favorite/purchase follow-up). Video: the mean capped watch ratio
+    over engaged events, or None when the user watched nothing there.
+    """
+    in_window = [
+        e for e in events if e.platform is platform and window.contains(e.timestamp)
+    ]
+    if platform is Platform.ECOMMERCE:
+        count = 0
+        for event in in_window:
+            profile = UserProfile(event.user_id)
+            sample = label_event(event, profile, 0.5, labeling)
+            if sample.label is Label.TOLERANCE:
+                count += 1
+        return float(count)
+    ratios = [watch_ratio(e, labeling.ratio_cap) for e in in_window if e.clicked]
+    if not ratios:
+        return None
+    return sum(ratios) / len(ratios)
+
+
+def _bucket_labels(edges: tuple[float, ...]) -> list[str]:
+    labels = [f"<{edges[0]:g}"]
+    labels += [f"[{a:g},{b:g})" for a, b in zip(edges, edges[1:])]
+    labels.append(f">={edges[-1]:g}")
+    return labels
+
+
+def reference_analyze(
+    events: list[InteractionEvent],
+    config: CohortConfig,
+    labeling: LabelingConfig,
+) -> CohortReport:
+    """Bucket users by reference-window tolerance and measure the share
+    whose investigation-window engagement strictly declined (ties count
+    as retained)."""
+    by_user: dict[str, list[InteractionEvent]] = {}
+    for event in events:
+        by_user.setdefault(event.user_id, []).append(event)
+
+    edges = config.effective_edges
+    labels = _bucket_labels(edges)
+    users = [0] * len(labels)
+    declines = [0] * len(labels)
+    considered = 0
+    excluded = 0
+    for user_id in sorted(by_user):
+        user_events = by_user[user_id]
+        ref = _engagement(
+            user_events, config.reference, config.platform, config.min_watch_seconds
+        )
+        if ref == 0:
+            excluded += 1
+            continue
+        stat = _tolerance_stat(user_events, config.reference, config.platform, labeling)
+        if stat is None:
+            excluded += 1
+            continue
+        considered += 1
+        inv = _engagement(
+            user_events,
+            config.investigation,
+            config.platform,
+            config.min_watch_seconds,
+        )
+        bucket = bisect_right(edges, stat)
+        users[bucket] += 1
+        if inv < ref:
+            declines[bucket] += 1
+
+    return CohortReport(
+        buckets=[
+            BucketReport(label=lab, users=u, declines=d)
+            for lab, u, d in zip(labels, users, declines)
+        ],
+        considered=considered,
+        excluded=excluded,
+    )

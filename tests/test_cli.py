@@ -121,6 +121,16 @@ class TestLabelCommand:
         assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
         assert "threads" in capsys.readouterr().err
 
+    def test_bad_option_named_before_ingest(self, tmp_path, capsys):
+        """The configuration is built before the log is read, so a bad
+        option is named even when the event file is missing."""
+        assert run(
+            "label", "--events", tmp_path / "missing.jsonl",
+            "--out", tmp_path / "samples.jsonl", "--min-history", "0",
+        ) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "min_history" in capsys.readouterr().err
+
 
 class TestConfigFile:
     @pytest.mark.parametrize(
@@ -372,6 +382,17 @@ class TestAnalyzeCommand:
         ) == 1
         assert [p.name for p in tmp_path.iterdir()] == [event_file.name]
         assert "min_watch_seconds" in capsys.readouterr().err
+
+    def test_bad_window_named_before_ingest(self, tmp_path, capsys):
+        """The windows are parsed before the log is read, so a bad one is
+        named even when the event file is missing."""
+        assert run(
+            "analyze", "--events", tmp_path / "missing.jsonl",
+            "--out", tmp_path / "cohort.csv",
+            "--ref", "bad", "--inv", "2024-06-08..2024-06-15",
+        ) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "window 'bad'" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

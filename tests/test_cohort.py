@@ -1,3 +1,8 @@
+from collections import Counter
+from dataclasses import replace
+from functools import partial
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -5,14 +10,14 @@ from tolrec.cohort import (
     CohortConfig,
     CohortReport,
     analyze,
-    engagement,
-    tolerance_stat,
     write_plot_data,
 )
 from tolrec.events import InteractionEvent, Platform, TimeWindow
+from tolrec.fixtures import generate_fixture_events
 from tolrec.labeling import LabelingConfig
 
 from conftest import random_event_log
+from oracles import reference_analyze
 
 
 def ecom(user, ts, clicked=True, actions=()):
@@ -42,39 +47,78 @@ REF = TimeWindow(0, 100)
 INV = TimeWindow(100, 200)
 
 
-class TestEngagement:
+UNIT_EDGES = tuple(float(k) for k in range(1, 40))
+
+
+def unit_config(platform=Platform.ECOMMERCE, edges=UNIT_EDGES, min_watch_seconds=0.0):
+    return CohortConfig(REF, INV, platform, edges, min_watch_seconds)
+
+
+def occupied(report):
+    """{bucket index: (users, declines)} over the buckets that hold users.
+    Under UNIT_EDGES an e-commerce user's bucket index is their count of
+    reference-window clicks with no positive action."""
+    return {k: (b.users, b.declines) for k, b in enumerate(report.buckets) if b.users}
+
+
+class TestTally:
+    """What analyze counts per user, read back through the bucket (the
+    reference statistic) and the decline (the two window engagements)."""
+
     def test_counts_only_inside_window(self):
         events = [ecom("u1", ts) for ts in range(10)] + [
             ecom("u1", ts) for ts in range(100, 105)
         ]
-        assert engagement(events, REF, Platform.ECOMMERCE) == 10
+        report = analyze(events, unit_config(), LabelingConfig())
+        assert occupied(report) == {10: (1, 1)}
+
+    def test_windows_are_half_open(self):
+        # u1: reference {0, 50, 99}, investigation {100, 199}: a decline.
+        # u2: reference {0, 99}, investigation {100, 199}: a tie.
+        events = [ecom("u1", ts) for ts in (0, 50, 99, 100, 199, 200)] + [
+            ecom("u2", ts) for ts in (0, 99, 100, 199)
+        ]
+        report = analyze(events, unit_config(), LabelingConfig())
+        assert occupied(report) == {2: (1, 0), 3: (1, 1)}
 
     def test_zero_events(self):
-        assert engagement([], REF, Platform.ECOMMERCE) == 0
+        report = analyze([], unit_config(), LabelingConfig())
+        assert report.empty and report.excluded == 0
 
-    def test_non_clicks_do_not_count(self):
-        events = [ecom("u1", 1), ecom("u1", 2, clicked=False), ecom("u1", 3)]
-        assert engagement(events, REF, Platform.ECOMMERCE) == 2
+    @pytest.mark.parametrize(
+        "platform, make, bucket",
+        [
+            (Platform.ECOMMERCE, ecom, 2),
+            (Platform.VIDEO, partial(video, ratio=0.5), 0),
+        ],
+    )
+    def test_non_clicks_do_not_count(self, platform, make, bucket):
+        # u1: two clicks in each window, a tie; u2: two then one, a decline.
+        events = [
+            make("u1", 1), make("u1", 2, clicked=False), make("u1", 3),
+            make("u1", 100), make("u1", 101), make("u1", 102, clicked=False),
+            make("u2", 1), make("u2", 3),
+            make("u2", 100), make("u2", 101, clicked=False),
+        ]
+        report = analyze(events, unit_config(platform), LabelingConfig())
+        assert occupied(report) == {bucket: (2, 1)}
 
-    def test_matches_independent_filter(self, rng):
-        events = [e for e in random_event_log(rng, n_events=400) if e.user_id == "u001"]
-        window = TimeWindow(0, 6000)
-        expected = sum(
-            1
-            for e in events
-            if e.platform is Platform.VIDEO
-            and e.clicked
-            and window.start <= e.timestamp < window.end
-        )
-        assert engagement(events, window, Platform.VIDEO) == expected
+    def test_min_watch_seconds_limits_engagement_not_statistic(self):
+        # u1 watched 5 s of one reference video and 50 s of another; u2 only
+        # the 5 s one. Both mean ratios count the short video. u3 watched
+        # exactly the 10 s threshold in each window, which counts.
+        events = [
+            video("u1", 1, 0.05), video("u1", 2, 0.5), video("u1", 100, 0.5),
+            video("u2", 1, 0.05), video("u2", 100, 0.5),
+            video("u3", 1, 0.1), video("u3", 100, 0.1),
+        ]
+        every = analyze(events, unit_config(Platform.VIDEO, ()), LabelingConfig())
+        assert occupied(every) == {0: (1, 0), 1: (1, 0), 2: (1, 1)}
+        config = unit_config(Platform.VIDEO, (), min_watch_seconds=10.0)
+        short_skipped = analyze(events, config, LabelingConfig())
+        assert occupied(short_skipped) == {1: (1, 0), 2: (1, 0)}
+        assert short_skipped.excluded == 1
 
-    def test_min_watch_seconds_threshold(self):
-        events = [video("u1", 1, ratio=0.05, duration=100.0), video("u1", 2, ratio=0.5)]
-        assert engagement(events, REF, Platform.VIDEO) == 2
-        assert engagement(events, REF, Platform.VIDEO, min_watch_seconds=10.0) == 1
-
-
-class TestToleranceStat:
     def test_ecommerce_counts_bare_clicks(self):
         events = [
             ecom("u1", 1),
@@ -82,37 +126,34 @@ class TestToleranceStat:
             ecom("u1", 3),
             ecom("u1", 4, actions=("purchase",)),
             ecom("u1", 5, actions=("cart",)),
+            ecom("u1", 6, actions=("like",)),
+            video("u1", 7, 0.1),
         ]
-        assert tolerance_stat(events, REF, Platform.ECOMMERCE, LabelingConfig()) == 3.0
+        assert occupied(analyze(events, unit_config(), LabelingConfig())) == {4: (1, 1)}
 
-    def test_video_mean_ratio(self):
-        events = [video("u1", 1, 0.2), video("u1", 2, 0.4)]
-        stat = tolerance_stat(events, REF, Platform.VIDEO, LabelingConfig())
-        assert stat == pytest.approx(0.3)
+    def test_video_statistic_is_mean_ratio(self):
+        # Mean 0.3; the median 0.2, the maximum 0.6 and a mean that took
+        # the non-click's 0 would each land in another bucket.
+        events = [
+            video("u1", 1, 0.1),
+            video("u1", 2, 0.2),
+            video("u1", 3, 0.6),
+            video("u1", 4, 0.0, clicked=False),
+        ]
+        config = unit_config(Platform.VIDEO, (0.25, 0.35))
+        assert occupied(analyze(events, config, LabelingConfig())) == {1: (1, 1)}
 
-    def test_video_no_engagement_undefined(self):
-        events = [video("u1", 1, 0.0, clicked=False)]
-        assert tolerance_stat(events, REF, Platform.VIDEO, LabelingConfig()) is None
-
-    def test_matches_independent_recomputation(self, rng):
-        log = random_event_log(rng, n_events=500)
-        window = TimeWindow(0, 9000)
-        config = LabelingConfig()
-        users = sorted({e.user_id for e in log})
-        for user in users[:10]:
-            events = [e for e in log if e.user_id == user]
-            got = tolerance_stat(events, window, Platform.VIDEO, config)
-            ratios = [
-                min(e.watch_duration / e.item_duration, 1.0)
-                for e in events
-                if e.platform is Platform.VIDEO
-                and e.clicked
-                and window.start <= e.timestamp < window.end
-            ]
-            if not ratios:
-                assert got is None
-            else:
-                assert got == pytest.approx(float(np.mean(ratios)), abs=1e-12)
+    def test_no_reference_engagement_excluded(self):
+        events = [
+            ecom("kept", 1),
+            ecom("investigation-only", 150),
+            ecom("outside-both", 250),
+            ecom("non-click", 1, clicked=False),
+            video("other-platform", 1, 0.5),
+        ]
+        report = analyze(events, unit_config(), LabelingConfig())
+        assert occupied(report) == {1: (1, 1)}
+        assert (report.considered, report.excluded) == (1, 4)
 
 
 class TestAnalyze:
@@ -278,6 +319,83 @@ class TestAnalyze:
         proportions = [b.decline_proportion for b in report.buckets if b.users]
         assert len(proportions) == 4
         assert all(b >= a for a, b in zip(proportions, proportions[1:]))
+
+
+DAY = 86_400
+
+
+def _log(kind):
+    """(events, reference, investigation), each window covering only part
+    of the log so that some events fall outside both."""
+    if kind == "fixture":
+        events = generate_fixture_events(n_events=4000, seed=3)
+        start = min(e.timestamp for e in events)
+        reference = TimeWindow(start + DAY, start + 7 * DAY)
+        return events, reference, TimeWindow(start + 7 * DAY, start + 12 * DAY)
+    events = random_event_log(np.random.default_rng(kind), n_events=1500, ts_slots=20)
+    return events, TimeWindow(60, 300), TimeWindow(300, 510)
+
+
+def _stray_users(reference, investigation):
+    """Users whose events are all on one platform, or all outside both
+    windows: excluded from the analysis of the other platform, or of any."""
+    return [
+        ecom("zz-ecommerce-only", reference.start),
+        video("zz-video-only", reference.start, 0.9),
+        ecom("zz-outside", reference.start - 1),
+        video("zz-outside", investigation.end, 0.9),
+    ]
+
+
+def _edges_through_a_statistic(events, config, labeling):
+    """Custom edges, one of them equal to the reference statistic of the
+    user with the most clicked reference events on the platform."""
+    clicked = [
+        e
+        for e in events
+        if e.platform is config.platform
+        and e.clicked
+        and config.reference.start <= e.timestamp < config.reference.end
+    ]
+    counts = Counter(e.user_id for e in clicked)
+    user = max(sorted(counts), key=counts.__getitem__)
+    mine = [e for e in clicked if e.user_id == user]
+    if config.platform is Platform.ECOMMERCE:
+        positive = {"cart", "favorite", "purchase"}
+        bare = [e for e in mine if not e.followup_actions & positive]
+        return tuple(sorted({1.0, float(len(bare)), 60.0}))
+    ratios = [min(e.watch_duration / e.item_duration, labeling.ratio_cap) for e in mine]
+    return tuple(sorted({0.25, sum(ratios) / len(ratios), 0.75}))
+
+
+@pytest.mark.parametrize("platform", list(Platform))
+@pytest.mark.parametrize("kind", [0, 1, 2, "fixture"])
+def test_analyze_matches_reference(kind, platform):
+    """The one-pass analyze gives the whole report of the per-user rescans
+    it replaced, on sorted and shuffled input, with and without a watch
+    threshold, under two ratio caps, and under default edges and edges
+    through a user's statistic."""
+    events, reference, investigation = _log(kind)
+    events = events + _stray_users(reference, investigation)
+    shuffled = list(events)
+    np.random.default_rng(5).shuffle(shuffled)  # type: ignore[arg-type]
+    for labeling, min_watch_seconds in product(
+        (LabelingConfig(), LabelingConfig(ratio_cap=1.2)), (0.0, 30.0)
+    ):
+        config = CohortConfig(
+            reference, investigation, platform, min_watch_seconds=min_watch_seconds
+        )
+        edges = _edges_through_a_statistic(events, config, labeling)
+        for cohort_config, log in product(
+            (config, replace(config, bucket_edges=edges)), (events, shuffled)
+        ):
+            got = analyze(log, cohort_config, labeling)
+            assert got == reference_analyze(log, cohort_config, labeling), (
+                cohort_config,
+                labeling,
+                log is shuffled,
+            )
+            assert got.considered > 0 and got.excluded >= 2
 
 
 class TestReportFiles:
