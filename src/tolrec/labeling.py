@@ -126,12 +126,6 @@ class UserProfile:
     user_id: str
     buckets: dict[int, BucketStats] = field(default_factory=dict)
 
-    def bucket_stats(self, bucket: int) -> tuple[int, float]:
-        stats = self.buckets.get(bucket)
-        if stats is None:
-            return 0, 0.0
-        return stats.count, stats.mean
-
 
 @dataclass(frozen=True)
 class LabeledSample:
@@ -156,69 +150,6 @@ def watch_ratio(event: InteractionEvent, cap: float = 1.0) -> float:
     if event.platform is not Platform.VIDEO:
         raise ValueError("watch_ratio is only defined for video events")
     return min(event.watch_duration / event.item_duration, cap)
-
-
-def tolerance_weight(ratio: float, average: float) -> float:
-    """Weight for a tolerance sample: how close the watch ratio came to the
-    reference average, clamped to [0, 1]. Zero when no average exists."""
-    if average <= 0.0:
-        return 0.0
-    return min(max(ratio / average, 0.0), 1.0)
-
-
-def label_event(
-    event: InteractionEvent,
-    profile: UserProfile,
-    global_mean: float,
-    config: LabelingConfig,
-) -> LabeledSample:
-    """Assign POSITIVE / TOLERANCE / NEGATIVE to one event.
-
-    E-commerce: no click is negative; a click with a cart/favorite/
-    purchase action is positive; a bare click is tolerance with beta 0
-    (there is no graded signal to weight it by).
-
-    Video: no click is negative. The personal average is the event's
-    duration-bucket mean when it has at least ``min_history`` ratios,
-    else ``global_mean``. A ratio at or above the average is positive
-    (ties count as positive); under ``RATIO_OR_ACTION`` any like/
-    comment/share/follow also promotes to positive. Everything else is
-    tolerance, weighted by ratio over average.
-    """
-    if event.platform is Platform.ECOMMERCE:
-        if not event.clicked:
-            return _sample(event, Label.NEGATIVE)
-        if event.followup_actions & ECOMMERCE_POSITIVE_ACTIONS:
-            return _sample(event, Label.POSITIVE)
-        return _sample(event, Label.TOLERANCE, beta=0.0)
-
-    if not event.clicked:
-        return _sample(event, Label.NEGATIVE)
-
-    ratio = watch_ratio(event, config.ratio_cap)
-    count, bucket_mean = profile.bucket_stats(config.bucket_index(event.item_duration))
-    average = bucket_mean if count >= config.min_history else global_mean
-
-    positive = ratio >= average
-    if config.rule_mode is RuleMode.RATIO_OR_ACTION:
-        positive = positive or bool(event.followup_actions & VIDEO_POSITIVE_ACTIONS)
-    if positive:
-        return _sample(event, Label.POSITIVE)
-
-    baseline = average if config.beta_baseline == "user" else global_mean
-    return _sample(event, Label.TOLERANCE, beta=tolerance_weight(ratio, baseline))
-
-
-def _sample(
-    event: InteractionEvent, label: Label, beta: float | None = None
-) -> LabeledSample:
-    return LabeledSample(
-        user_id=event.user_id,
-        item_id=event.item_id,
-        timestamp=event.timestamp,
-        label=label,
-        beta=beta,
-    )
 
 
 class CausalLabeler:
@@ -405,15 +336,25 @@ def _label_columns(
     """The events' label codes and, in input order, the tolerance samples'
     betas; pushes every engaged ratio into ``labeler``.
 
+    The rule: no click is negative. An e-commerce click is positive with a
+    cart/favorite/purchase action, else tolerance with beta 0 (no graded
+    signal). A clicked video's average is its (user, bucket) mean given
+    ``min_history`` ratios, else the global mean; a capped watch ratio at or
+    above it is positive (ties too), as is, under ``RATIO_OR_ACTION``, any
+    like/comment/share/follow. Other videos are tolerance with ``beta =
+    clamp(ratio / baseline, 0, 1)``, the baseline being the average or, with
+    ``beta_baseline="population"``, the global mean; beta is 0 where the
+    baseline is not positive.
+
     One Python pass reads the events into columns and checks their order.
     Each clicked video event then reads its (user, bucket) mean and, when
     that history is short or beta uses the population baseline, the global
     mean: causal mode as they stood before the event's instant, leave-one-out
     mode over the whole batch minus the event itself. Means are exact running
     means, not downdated sums: downdating drifts at the last ulp and breaks
-    exact-tie labels for repeated ratios. :func:`label_event`'s rule runs on
-    whole columns; its comparisons, divide and clamps are elementwise IEEE
-    operations, so they give the bits Python floats do.
+    exact-tie labels for repeated ratios. The rule runs on whole columns;
+    its comparisons, divide and clamps are elementwise IEEE operations, so
+    they give the bits Python floats do.
 
     Cost: O(N log N) plus one numpy step per element of the longest (user,
     bucket) list; leave-one-out adds vector flops of O(L²) per list of

@@ -9,6 +9,13 @@ import pytest
 
 import tolrec
 from tolrec.events import InteractionEvent, Platform
+from tolrec.labeling import (
+    BucketStats,
+    CausalLabeler,
+    LabeledSample,
+    LabelingConfig,
+    UserProfile,
+)
 
 ALL_ACTIONS = ("cart", "favorite", "purchase", "like", "comment", "share", "follow")
 
@@ -70,6 +77,28 @@ def random_event_log(
             )
     events.sort(key=lambda e: (e.user_id, e.timestamp))
     return events
+
+
+def label_one(
+    event: InteractionEvent,
+    config: LabelingConfig,
+    count: int = 0,
+    mean: float = 0.0,
+    global_mean: float | None = None,
+) -> LabeledSample:
+    """Label one event with the pipeline's rule: a fresh ``CausalLabeler``
+    whose user holds ``count`` ratios of mean ``mean`` in the event's
+    duration bucket and whose global mean is ``global_mean`` (one ratio), or
+    the 0.5 seed when that is None."""
+    labeler = CausalLabeler(config)
+    if count:
+        bucket = config.bucket_index(event.item_duration)
+        labeler.profiles[event.user_id] = UserProfile(
+            event.user_id, {bucket: BucketStats(count, mean)}
+        )
+    if global_mean is not None:
+        labeler._global = BucketStats(1, global_mean)
+    return labeler.extend([event])[0]
 
 
 @pytest.fixture

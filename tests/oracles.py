@@ -29,7 +29,6 @@ from tolrec.labeling import (
     LabelingResult,
     RuleMode,
     UserProfile,
-    label_event,
     watch_ratio,
 )
 from tolrec.trainer import (
@@ -50,6 +49,58 @@ def _running_mean(values) -> float:
     for count, value in enumerate(values, start=1):
         mean += (value - mean) / count
     return mean
+
+
+def reference_label(
+    event: InteractionEvent,
+    count: int,
+    bucket_mean: float,
+    global_mean: float,
+    config: LabelingConfig,
+) -> LabeledSample:
+    """The P/T/N rule for one event, given the ``count`` and ``bucket_mean``
+    of its (user, duration bucket) history and the global mean.
+
+    E-commerce: no click is negative, a cart/favorite/purchase click is
+    positive, a bare click is tolerance with beta 0. Video: no click is
+    negative; the average is the bucket mean when ``count`` reaches
+    ``min_history``, else the global mean; a capped ratio at or above it is
+    positive, as is, under ``RATIO_OR_ACTION``, a like/comment/share/follow;
+    anything else is tolerance with beta = clamp(ratio / baseline, 0, 1), or
+    0 when the baseline is not positive.
+    """
+    beta = None
+    if event.platform is Platform.ECOMMERCE:
+        if not event.clicked:
+            label = Label.NEGATIVE
+        elif event.followup_actions & _ECOM_POSITIVE:
+            label = Label.POSITIVE
+        else:
+            label, beta = Label.TOLERANCE, 0.0
+    elif not event.clicked:
+        label = Label.NEGATIVE
+    else:
+        ratio = min(event.watch_duration / event.item_duration, config.ratio_cap)
+        average = bucket_mean if count >= config.min_history else global_mean
+        is_positive = ratio >= average
+        if config.rule_mode is RuleMode.RATIO_OR_ACTION:
+            is_positive = is_positive or bool(event.followup_actions & _VIDEO_POSITIVE)
+        if is_positive:
+            label = Label.POSITIVE
+        else:
+            denominator = average if config.beta_baseline == "user" else global_mean
+            if denominator <= 0.0:
+                beta = 0.0
+            else:
+                beta = min(max(ratio / denominator, 0.0), 1.0)
+            label = Label.TOLERANCE
+    return LabeledSample(
+        user_id=event.user_id,
+        item_id=event.item_id,
+        timestamp=event.timestamp,
+        label=label,
+        beta=beta,
+    )
 
 
 def brute_force_causal_labels(
@@ -79,16 +130,8 @@ def brute_force_causal_labels(
 
     samples = []
     for k, event in enumerate(events):
-        if event.platform is Platform.ECOMMERCE:
-            if not event.clicked:
-                label, beta = Label.NEGATIVE, None
-            elif event.followup_actions & _ECOM_POSITIVE:
-                label, beta = Label.POSITIVE, None
-            else:
-                label, beta = Label.TOLERANCE, 0.0
-        elif not event.clicked:
-            label, beta = Label.NEGATIVE, None
-        else:
+        count, average, global_mean = 0, 0.0, GLOBAL_MEAN_SEED
+        if k in capped:
             bucket = config.bucket_index(event.item_duration)
             prior = [
                 capped[j]
@@ -99,36 +142,8 @@ def brute_force_causal_labels(
             ]
             n_earlier = bisect_left(global_ts, event.timestamp)
             global_mean = prefix_means[n_earlier] if n_earlier else 0.5
-            if len(prior) >= config.min_history:
-                average = _running_mean(prior)
-            else:
-                average = global_mean
-            ratio = capped[k]
-            is_positive = ratio >= average
-            if config.rule_mode is RuleMode.RATIO_OR_ACTION:
-                is_positive = is_positive or bool(
-                    event.followup_actions & _VIDEO_POSITIVE
-                )
-            if is_positive:
-                label, beta = Label.POSITIVE, None
-            else:
-                denominator = (
-                    average if config.beta_baseline == "user" else global_mean
-                )
-                if denominator <= 0.0:
-                    beta = 0.0
-                else:
-                    beta = min(max(ratio / denominator, 0.0), 1.0)
-                label = Label.TOLERANCE
-        samples.append(
-            LabeledSample(
-                user_id=event.user_id,
-                item_id=event.item_id,
-                timestamp=event.timestamp,
-                label=label,
-                beta=beta,
-            )
-        )
+            count, average = len(prior), _running_mean(prior)
+        samples.append(reference_label(event, count, average, global_mean, config))
     return samples
 
 
@@ -179,10 +194,13 @@ def reference_causal_extend(
         global_mean = labeler.global_mean
         for k in group:
             event = events[k]
-            profile = labeler.profiles.get(event.user_id) or UserProfile(
-                event.user_id
+            stats = BucketStats()
+            if event.platform is Platform.VIDEO and event.user_id in labeler.profiles:
+                bucket = labeler.config.bucket_index(event.item_duration)
+                stats = labeler.profiles[event.user_id].buckets.get(bucket, stats)
+            samples[k] = reference_label(
+                event, stats.count, stats.mean, global_mean, labeler.config
             )
-            samples[k] = label_event(event, profile, global_mean, labeler.config)
         for k in group:
             absorb(events[k])
         start = stop
@@ -206,8 +224,8 @@ def reference_label_leave_one_out(
 ) -> LabelingResult:
     """Leave-one-out labels with every excluded-self mean recomputed from
     scratch, one rescan per event, and full-history profiles from a final
-    pass in time order. The label rule itself is the package's
-    :func:`label_event`; what this checks is the means fed to it."""
+    pass in time order. The label rule is :func:`reference_label`, so no
+    decision code is shared with the package."""
     per_bucket: dict[tuple[str, int], list[float]] = {}
     bucket_position: dict[int, int] = {}
     time_order = sorted(range(len(events)), key=lambda k: (events[k].timestamp, k))
@@ -227,19 +245,16 @@ def reference_label_leave_one_out(
 
     samples: list[LabeledSample] = []
     for k, event in enumerate(events):
-        profile = UserProfile(event.user_id)
-        global_mean = GLOBAL_MEAN_SEED
+        count, mean, global_mean = 0, 0.0, GLOBAL_MEAN_SEED
         if event.platform is Platform.VIDEO and event.clicked:
             bucket = config.bucket_index(event.item_duration)
             ratios = per_bucket[(event.user_id, bucket)]
             count, mean = _mean_excluding(ratios, bucket_position[k])
-            if count:
-                profile.buckets[bucket] = BucketStats(count=count, mean=mean)
             if count < config.min_history or config.beta_baseline == "population":
                 g_count, g_mean = _mean_excluding(global_ratios, global_position[k])
                 if g_count:
                     global_mean = g_mean
-        samples.append(label_event(event, profile, global_mean, config))
+        samples.append(reference_label(event, count, mean, global_mean, config))
 
     profiles: dict[str, UserProfile] = {}
     final_count, final_mean = 0, 0.0
@@ -689,7 +704,7 @@ def reference_write_profiles(path, profiles: dict[str, UserProfile]) -> None:
 # ---------------------------------------------------------------------------
 # Cohort analysis as it was before it became one pass over the log: events
 # copied into per-user lists, each list scanned once per window, and the
-# e-commerce statistic counted by running the scalar labeler on each event.
+# e-commerce statistic counted by running the reference rule on each event.
 # ---------------------------------------------------------------------------
 
 
@@ -734,8 +749,7 @@ def _tolerance_stat(
     if platform is Platform.ECOMMERCE:
         count = 0
         for event in in_window:
-            profile = UserProfile(event.user_id)
-            sample = label_event(event, profile, 0.5, labeling)
+            sample = reference_label(event, 0, 0.0, GLOBAL_MEAN_SEED, labeling)
             if sample.label is Label.TOLERANCE:
                 count += 1
         return float(count)

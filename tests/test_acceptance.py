@@ -14,21 +14,17 @@ from tolrec.cohort import CohortConfig, analyze
 from tolrec.events import InteractionEvent, Platform, TimeWindow, write_events
 from tolrec.fixtures import generate_fixture_events
 from tolrec.labeling import (
-    BucketStats,
     Label,
     LabelingConfig,
     LabelingMode,
     RuleMode,
-    UserProfile,
-    label_event,
     label_log,
-    tolerance_weight,
     watch_ratio,
 )
 from tolrec.simulation import SimConfig, simulate_experiment
 from tolrec.trainer import Objective, TrainConfig, gradient, loss, train
 
-from conftest import random_event_log
+from conftest import label_one, random_event_log
 from oracles import (
     brute_force_causal_labels,
     finite_difference_gradient,
@@ -180,36 +176,44 @@ def test_criterion_04_labeler_matches_brute_force(rule):
 
 def test_criterion_05_beta_contract():
     """Tolerance weights equal clamp(ratio/average) on the full grid; the
-    exact-tie boundary weight is 1 and the label flips to positive."""
+    exact-tie label flips to positive. Where the population baseline grades
+    a tie with the global mean below the bucket mean, the weight is exactly
+    1; a zero global mean gives weight 0."""
     config = LabelingConfig(duration_bucket_edges=())
+    population = LabelingConfig(duration_bucket_edges=(), beta_baseline="population")
+    history = config.min_history
+
+    def watched(ratio):
+        return InteractionEvent(
+            user_id="u1",
+            item_id="i1",
+            timestamp=0,
+            platform=Platform.VIDEO,
+            clicked=True,
+            watch_duration=ratio,
+            item_duration=1.0,
+        )
+
     ok = True
     ratios = [round(0.1 * k, 1) for k in range(11)]
     averages = [round(0.1 * k, 1) for k in range(1, 11)]
     for average in averages:
-        profile = UserProfile("u1")
-        profile.buckets[0] = BucketStats(count=config.min_history, mean=average)
         for ratio in ratios:
-            event = InteractionEvent(
-                user_id="u1",
-                item_id="i1",
-                timestamp=0,
-                platform=Platform.VIDEO,
-                clicked=True,
-                watch_duration=ratio,
-                item_duration=1.0,
-            )
-            sample = label_event(event, profile, 0.5, config)
+            event = watched(ratio)
+            sample = label_one(event, config, history, average)
             exact = watch_ratio(event, config.ratio_cap)
             if exact >= average:
                 ok = ok and sample.label is Label.POSITIVE
-                if exact == average:
-                    ok = ok and tolerance_weight(exact, average) == 1.0
+                if exact == average < 1.0:
+                    tie = label_one(event, population, history, 1.0, average)
+                    ok = ok and tie.label is Label.TOLERANCE and tie.beta == 1.0
             else:
                 expected = min(max(exact / average, 0.0), 1.0)
                 ok = ok and sample.label is Label.TOLERANCE
                 ok = ok and sample.beta == expected
                 ok = ok and 0.0 <= sample.beta <= 1.0
-    ok = ok and tolerance_weight(0.5, 0.0) == 0.0
+    zero = label_one(watched(0.5), population, history, 1.0, 0.0)
+    ok = ok and zero.label is Label.TOLERANCE and zero.beta == 0.0
     report(5, ok, "beta equals clamp(ratio/average) over the grid; tie labels positive with weight 1")
     assert ok
 
@@ -289,7 +293,8 @@ def test_criterion_07_cohort_trend_recovers_generator():
                     )
                 ref_total = tolerance_count + 5
                 declined = bool(rng.random() < p_decline)
-                inv_total = ref_total - 2 if declined else ref_total + 1
+                # Half the retained users tie: equal engagement is no decline.
+                inv_total = ref_total - 2 if declined else ref_total + k % 2
                 for t in range(inv_total):
                     events.append(_ecom_event(user, 100_000 + t, clicked=True))
         result = analyze(events, config, LabelingConfig())

@@ -608,6 +608,12 @@ class TestEntryPoint:
         assert proc.stdout == f"{version}\n"
         assert version == tolrec.__version__
 
+    def test_public_names_resolve(self):
+        """Every exported name exists, once, so a name that leaves the
+        package cannot stay in ``__all__``."""
+        assert len(set(tolrec.__all__)) == len(tolrec.__all__)
+        assert [name for name in tolrec.__all__ if not hasattr(tolrec, name)] == []
+
     @pytest.mark.skipif(
         shutil.which("tolrec") is None,
         reason="no tolrec script on PATH (pip install -e . --no-build-isolation)",

@@ -12,17 +12,15 @@ from tolrec.labeling import (
     LabelingMode,
     RuleMode,
     UserProfile,
-    label_event,
     label_log,
     parse_sample,
     read_samples,
     sample_to_json,
-    tolerance_weight,
     watch_ratio,
 )
 from tolrec.labeling import _first_of_instant, _list_means
 
-from conftest import random_event_log
+from conftest import label_one, random_event_log
 from oracles import (
     brute_force_causal_labels,
     reference_causal_extend,
@@ -61,12 +59,6 @@ def ecom_event(user="u1", item="i1", ts=0, clicked=True, actions=()):
         clicked=clicked,
         followup_actions=frozenset(actions),
     )
-
-
-def profile_with_mean(user="u1", bucket=0, count=5, mean=0.6):
-    profile = UserProfile(user)
-    profile.buckets[bucket] = BucketStats(count=count, mean=mean)
-    return profile
 
 
 def oracle_logs():
@@ -159,16 +151,15 @@ class TestUpdateProfile:
         config = LabelingConfig(duration_bucket_edges=())
         profile = UserProfile("u1")
         update_profile(profile, video_event(watch=4, duration=10), config)
-        assert profile.bucket_stats(0) == (1, 0.4)
+        assert profile.buckets == {0: BucketStats(1, 0.4)}
 
     def test_two_point_mean(self):
         config = LabelingConfig(duration_bucket_edges=())
         profile = UserProfile("u1")
         update_profile(profile, video_event(watch=4, duration=10), config)
         update_profile(profile, video_event(watch=8, duration=10, ts=1), config)
-        count, mean = profile.bucket_stats(0)
-        assert count == 2
-        assert mean == pytest.approx(0.6, abs=1e-15)
+        assert profile.buckets[0].count == 2
+        assert profile.buckets[0].mean == pytest.approx(0.6, abs=1e-15)
 
     def test_ecommerce_leaves_stats(self):
         config = LabelingConfig()
@@ -198,8 +189,7 @@ class TestUpdateProfile:
             event = video_event(ts=ts, watch=watch, duration=duration)
             update_profile(profile, event, config)
             ratios.append(min(watch / duration, 1.0))
-        _, mean = profile.bucket_stats(0)
-        assert mean == pytest.approx(float(np.mean(ratios)), abs=1e-12)
+        assert profile.buckets[0].mean == pytest.approx(float(np.mean(ratios)), abs=1e-12)
 
     def test_bucketing_by_duration(self):
         config = LabelingConfig(duration_bucket_edges=(60.0, 300.0))
@@ -207,116 +197,100 @@ class TestUpdateProfile:
         update_profile(profile, video_event(watch=10, duration=30), config)
         update_profile(profile, video_event(watch=10, duration=120, ts=1), config)
         update_profile(profile, video_event(watch=10, duration=400, ts=2), config)
-        assert profile.bucket_stats(0)[0] == 1
-        assert profile.bucket_stats(1)[0] == 1
-        assert profile.bucket_stats(2)[0] == 1
+        assert [profile.buckets[b].count for b in range(3)] == [1, 1, 1]
 
 
-class TestLabelEvent:
+class TestLabelRule:
+    """The rule for one event, run by the pipeline's labeler (``label_one``)."""
+
     def test_ecommerce_purchase_positive(self):
-        sample = label_event(
-            ecom_event(actions=("purchase",)), UserProfile("u1"), 0.5, LabelingConfig()
-        )
+        sample = label_one(ecom_event(actions=("purchase",)), LabelingConfig())
         assert sample.label is Label.POSITIVE
 
     def test_ecommerce_bare_click_tolerance(self):
-        sample = label_event(ecom_event(), UserProfile("u1"), 0.5, LabelingConfig())
+        sample = label_one(ecom_event(), LabelingConfig())
         assert sample.label is Label.TOLERANCE
         assert sample.beta == 0.0
 
     def test_ecommerce_no_click_negative(self):
-        sample = label_event(
-            ecom_event(clicked=False), UserProfile("u1"), 0.5, LabelingConfig()
-        )
+        sample = label_one(ecom_event(clicked=False), LabelingConfig())
         assert sample.label is Label.NEGATIVE
 
     def test_ecommerce_video_action_does_not_promote(self):
-        sample = label_event(
-            ecom_event(actions=("like",)), UserProfile("u1"), 0.5, LabelingConfig()
-        )
+        sample = label_one(ecom_event(actions=("like",)), LabelingConfig())
         assert sample.label is Label.TOLERANCE
 
     def test_video_below_average_tolerance_with_beta(self):
-        profile = profile_with_mean(mean=0.6, count=5)
         config = LabelingConfig(duration_bucket_edges=())
-        sample = label_event(
-            video_event(watch=3, duration=10), profile, 0.5, config
-        )
+        sample = label_one(video_event(watch=3, duration=10), config, 5, 0.6)
         assert sample.label is Label.TOLERANCE
         assert sample.beta == pytest.approx(0.5)
 
     def test_video_unclicked_negative(self):
-        sample = label_event(
-            video_event(clicked=False, watch=0.0), UserProfile("u1"), 0.5,
-            LabelingConfig(),
-        )
+        sample = label_one(video_event(clicked=False, watch=0.0), LabelingConfig())
         assert sample.label is Label.NEGATIVE
 
     def test_exact_tie_is_positive(self):
-        profile = profile_with_mean(mean=0.6, count=5)
         config = LabelingConfig(duration_bucket_edges=())
-        sample = label_event(
-            video_event(watch=6, duration=10), profile, 0.5, config
-        )
+        sample = label_one(video_event(watch=6, duration=10), config, 5, 0.6)
         assert sample.label is Label.POSITIVE
 
     def test_action_promotes_under_ratio_or_action(self):
-        profile = profile_with_mean(mean=0.9, count=5)
         config = LabelingConfig(duration_bucket_edges=())
-        sample = label_event(
-            video_event(watch=1, duration=10, actions=("like",)), profile, 0.5, config
-        )
-        assert sample.label is Label.POSITIVE
+        event = video_event(watch=1, duration=10, actions=("like",))
+        assert label_one(event, config, 5, 0.9).label is Label.POSITIVE
 
     def test_action_ignored_under_ratio_only(self):
-        profile = profile_with_mean(mean=0.9, count=5)
         config = LabelingConfig(
             rule_mode=RuleMode.RATIO_ONLY, duration_bucket_edges=()
         )
-        sample = label_event(
-            video_event(watch=1, duration=10, actions=("like",)), profile, 0.5, config
-        )
-        assert sample.label is Label.TOLERANCE
+        event = video_event(watch=1, duration=10, actions=("like",))
+        assert label_one(event, config, 5, 0.9).label is Label.TOLERANCE
 
     def test_ecommerce_action_on_video_does_not_promote(self):
-        profile = profile_with_mean(mean=0.9, count=5)
         config = LabelingConfig(duration_bucket_edges=())
-        sample = label_event(
-            video_event(watch=1, duration=10, actions=("cart",)), profile, 0.5, config
-        )
-        assert sample.label is Label.TOLERANCE
+        event = video_event(watch=1, duration=10, actions=("cart",))
+        assert label_one(event, config, 5, 0.9).label is Label.TOLERANCE
 
     def test_short_history_falls_back_to_global(self):
-        profile = profile_with_mean(mean=0.9, count=2)  # below min_history=5
         config = LabelingConfig(duration_bucket_edges=())
-        sample = label_event(
-            video_event(watch=4, duration=10), profile, 0.3, config
-        )
-        assert sample.label is Label.POSITIVE  # 0.4 >= global 0.3
+        # Two ratios, below min_history=5: 0.4 >= global 0.3, not < 0.9.
+        sample = label_one(video_event(watch=4, duration=10), config, 2, 0.9, 0.3)
+        assert sample.label is Label.POSITIVE
 
     def test_population_beta_baseline(self):
-        profile = profile_with_mean(mean=0.8, count=5)
         config = LabelingConfig(
             duration_bucket_edges=(), beta_baseline="population"
         )
-        sample = label_event(
-            video_event(watch=2, duration=10), profile, 0.4, config
-        )
+        sample = label_one(video_event(watch=2, duration=10), config, 5, 0.8, 0.4)
         assert sample.label is Label.TOLERANCE
         assert sample.beta == pytest.approx(0.2 / 0.4)
 
 
-class TestToleranceWeight:
-    def test_zero_average(self):
-        assert tolerance_weight(0.3, 0.0) == 0.0
+class TestBeta:
+    """Tolerance weights against the population baseline, where the bucket
+    mean decides the label and the global mean grades the weight."""
+
+    config = LabelingConfig(duration_bucket_edges=(), beta_baseline="population")
+
+    def test_zero_global_mean(self):
+        sample = label_one(video_event(watch=3, duration=10), self.config, 5, 0.6, 0.0)
+        assert sample.label is Label.TOLERANCE
+        assert sample.beta == 0.0
 
     def test_boundary_is_one(self):
-        for average in np.linspace(0.1, 1.0, 10):
-            assert tolerance_weight(float(average), float(average)) == 1.0
+        for average in np.linspace(0.1, 1.0, 10).tolist():
+            event = video_event(watch=average, duration=1.0)
+            sample = label_one(event, self.config, 5, average + 0.5, average)
+            assert sample.label is Label.TOLERANCE
+            assert sample.beta == 1.0
 
     def test_clamped(self):
-        assert tolerance_weight(1.5, 0.5) == 1.0
-        assert tolerance_weight(0.0, 0.5) == 0.0
+        sample = label_one(video_event(watch=6, duration=10), self.config, 5, 0.9, 0.3)
+        assert sample.label is Label.TOLERANCE
+        assert sample.beta == 1.0
+        sample = label_one(video_event(watch=0, duration=10), self.config, 5, 0.9, 0.3)
+        assert sample.beta == 0.0
 
 
 class TestLabelLog:
@@ -404,14 +378,13 @@ class TestLabelLog:
     def test_monotone_in_ratio_under_ratio_only(self):
         """Raising the watch ratio, profile held fixed, never demotes a
         positive back to tolerance."""
-        profile = profile_with_mean(mean=0.55, count=8)
         config = LabelingConfig(
             rule_mode=RuleMode.RATIO_ONLY, duration_bucket_edges=()
         )
         previous_positive = False
         for ratio in np.linspace(0.0, 1.0, 101):
             event = video_event(watch=float(ratio) * 10.0, duration=10.0)
-            label = label_event(event, profile, 0.5, config).label
+            label = label_one(event, config, 8, 0.55).label
             if previous_positive:
                 assert label is Label.POSITIVE
             previous_positive = label is Label.POSITIVE
@@ -423,16 +396,11 @@ class TestLabelLog:
         result = label_log(events, LabelingConfig())
         betas = [s.beta for s in result.samples if s.label is Label.TOLERANCE]
         assert betas and all(0.0 <= b <= 1.0 for b in betas)
-        profile = profile_with_mean(mean=0.6, count=5)
         config = LabelingConfig(duration_bucket_edges=())
         last = 0.0
         for ratio in np.linspace(0.1, 0.599, 20):
-            sample = label_event(
-                video_event(watch=float(ratio) * 10, duration=10.0),
-                profile,
-                0.5,
-                config,
-            )
+            event = video_event(watch=float(ratio) * 10, duration=10.0)
+            sample = label_one(event, config, 5, 0.6)
             assert sample.beta >= last
             last = sample.beta
         assert last > 0.99
