@@ -53,6 +53,12 @@ COMPLETION_GAIN = 2.0
 #: (and only when the item delivered on its surface promise).
 ACTION_AFFINITY_THRESHOLD = 0.5
 ACTION_PROBABILITY = 0.9
+#: Next-day return probability at trust 0 and at trust 1.
+RETURN_FLOOR = 0.2
+RETURN_CEILING = 0.9
+#: Slope and centre, in trust, of the logistic return curve.
+RETURN_STEEPNESS = 8.0
+RETURN_MIDPOINT = 0.5
 
 
 @dataclass
@@ -77,33 +83,21 @@ class SimItem:
             raise ValueError("item duration must be positive")
 
 
-@dataclass(frozen=True)
-class ReturnCurve:
-    """Logistic in trust, rescaled to hit the floor exactly at trust 0 and
-    the ceiling at trust 1."""
-
-    floor: float = 0.2
-    ceiling: float = 0.9
-    steepness: float = 8.0
-    midpoint: float = 0.5
-
-    def probability(self, trust: float) -> float:
-        low = _expit(self.steepness * (0.0 - self.midpoint))
-        high = _expit(self.steepness * (1.0 - self.midpoint))
-        raw = _expit(self.steepness * (trust - self.midpoint))
-        unit = (raw - low) / (high - low)
-        return self.floor + (self.ceiling - self.floor) * unit
-
-
-#: Next-day return probability as a function of trust.
-RETURN_CURVE = ReturnCurve()
-
-
 def _expit(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
     return ez / (1.0 + ez)
+
+
+def return_probability(trust: float) -> float:
+    """Next-day return probability: logistic in trust, rescaled to hit
+    ``RETURN_FLOOR`` exactly at trust 0 and ``RETURN_CEILING`` at trust 1."""
+    low = _expit(RETURN_STEEPNESS * (0.0 - RETURN_MIDPOINT))
+    high = _expit(RETURN_STEEPNESS * (1.0 - RETURN_MIDPOINT))
+    raw = _expit(RETURN_STEEPNESS * (trust - RETURN_MIDPOINT))
+    unit = (raw - low) / (high - low)
+    return RETURN_FLOOR + (RETURN_CEILING - RETURN_FLOOR) * unit
 
 
 @dataclass(frozen=True)
@@ -399,7 +393,7 @@ def simulate_arm(name: str, config: TrainConfig, sim: SimConfig) -> list[DayArmS
         retained = 0
         for u, user in enumerate(users):
             next_active = bool(
-                return_draws[u, day - 1] < RETURN_CURVE.probability(user.trust)
+                return_draws[u, day - 1] < return_probability(user.trust)
             )
             if user.active and next_active:
                 retained += 1

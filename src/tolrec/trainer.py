@@ -107,7 +107,6 @@ class RankingModel:
     then its bias in the last column. ``users`` and ``items`` map ids to
     rows within their own block."""
 
-    dimension: int
     users: dict[str, int]
     items: dict[str, int]
     table: np.ndarray  # (n_users + n_items, dimension + 1)
@@ -117,6 +116,10 @@ class RankingModel:
     item_factors = _block(users=False, factors=True)  # (n_items, dimension)
     user_bias = _block(users=True, factors=False)  # (n_users,)
     item_bias = _block(users=False, factors=False)  # (n_items,)
+
+    @property
+    def dimension(self) -> int:
+        return self.table.shape[1] - 1
 
     @classmethod
     def initialize(
@@ -137,7 +140,6 @@ class RankingModel:
         factors = rng.uniform(-scale, scale, (rows, dimension))
         table = np.column_stack((factors, rng.uniform(-scale, scale, rows)))
         return cls(
-            dimension=dimension,
             users=users,
             items=items,
             table=table,
@@ -159,8 +161,8 @@ class RankingModel:
         return [it for _, it in sorted(zip((-scores).tolist(), candidates))]
 
     def _raw_scores(self, user_id: str, item_ids: list[str]) -> np.ndarray:
-        """:meth:`raw_score` against each item, from (item row, user row)
-        pairs laid out as ``_gradient`` gathers them; unknown ids get zeros."""
+        """:meth:`raw_score` against each item, through :func:`_logits` as
+        training scores a batch; unknown ids get zero rows."""
         rows = np.array([self.items.get(it, -1) for it in item_ids], dtype=np.intp)
         known = rows >= 0
         gathered = np.zeros((len(rows), 2, self.table.shape[1]))
@@ -168,30 +170,12 @@ class RankingModel:
         u = self.users.get(user_id)
         if u is not None:
             gathered[:, 1] = self.table[u]
-        items, users = gathered[:, 0], gathered[:, 1]
-        return _logits(
-            self.global_bias, users[:, -1], items[:, -1], users[:, :-1], items[:, :-1]
-        )
+        return _logits(self.global_bias, gathered)
 
     def copy(self) -> "RankingModel":
-        return RankingModel(
-            dimension=self.dimension,
-            users=dict(self.users),
-            items=dict(self.items),
-            table=self.table.copy(),
-            global_bias=self.global_bias,
+        return replace(
+            self, users=dict(self.users), items=dict(self.items), table=self.table.copy()
         )
-
-
-@dataclass
-class Gradient:
-    """Same shape as the model parameters."""
-
-    user_factors: np.ndarray
-    item_factors: np.ndarray
-    user_bias: np.ndarray
-    item_bias: np.ndarray
-    global_bias: float
 
 
 #: Columnar samples: table rows (2, n) of each sample's user and item,
@@ -245,24 +229,20 @@ def _l2_penalty(model: RankingModel, l2: float) -> float:
     )
 
 
-def _logits(global_bias, user_bias, item_bias, user_factors, item_factors):
+def _logits(global_bias, gathered):
     """Pre-sigmoid scores of (user, item) pairs, for loss, gradient and ranking
-    alike: global, user and item bias, then the dot product, in that order.
-    numpy sums an einsum in its own loop, so unlike a 1-D ``@`` (BLAS
+    alike, from ``gathered`` (n, 2, dimension + 1): each pair's item row, then
+    its user row. Global, user and item bias, then the dot product, in that
+    order. numpy sums an einsum in its own loop, so unlike a 1-D ``@`` (BLAS
     ``ddot``) the bits do not depend on the kernel BLAS picks for the CPU."""
-    dot = np.einsum("ij,ij->i", user_factors, item_factors)
-    return global_bias + user_bias + item_bias + dot
+    items, users = gathered[:, 0], gathered[:, 1]
+    dot = np.einsum("ij,ij->i", users[:, :-1], items[:, :-1])
+    return global_bias + users[:, -1] + items[:, -1] + dot
 
 
 def _loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
-    (user_rows, item_rows), weight, positive = encoded
-    factors, bias = model.table[:, :-1], model.table[:, -1]
-    # Gathered through the views, one block at a time, so that no
-    # (n, dimension + 1) copy of the samples' rows is ever alive.
-    z = _logits(
-        model.global_bias, bias[user_rows], bias[item_rows], factors[user_rows],
-        factors[item_rows],
-    )
+    rows, weight, positive = encoded
+    z = _logits(model.global_bias, model.table.take(rows[::-1].T, axis=0))
     # -log(sigmoid(z)) and -log(1 - sigmoid(z)) without forming sigmoid;
     # ``_encode`` leaves the weight of every non-positive at 1.0.
     terms = weight * np.logaddexp(0.0, np.where(positive, -z, z))
@@ -272,7 +252,7 @@ def _loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
 def _gradient(
     model: RankingModel, index, pairs, crossed, weight, positive, l2: float
 ) -> tuple[np.ndarray, float]:
-    """Gradient of the loss over a batch: one array shaped like
+    """The loss's gradient over a batch: one array shaped like
     ``model.table``, and the global bias's. ``pairs`` holds each sample's
     user row and item row, (batch, 2), ``crossed`` the same item first,
     and ``index`` is :func:`_index_table` of the table: one gather of the
@@ -284,10 +264,7 @@ def _gradient(
     table = model.table
     # Each sample's item row, then its user row: (batch, 2, dimension + 1).
     gathered = table.take(crossed, axis=0)
-    items, users = gathered[:, 0], gathered[:, 1]
-    y_hat = sigmoid(_logits(
-        model.global_bias, users[:, -1], items[:, -1], users[:, :-1], items[:, :-1]
-    ))
+    y_hat = sigmoid(_logits(model.global_bias, gathered))
     # d(term)/dz: w * (y_hat - 1) for positives, y_hat for negatives.
     dz = np.where(positive, weight * (y_hat - 1.0), y_hat) / len(pairs)
     # A user's gradient is dz times its item's row, and the reverse; with
@@ -319,20 +296,19 @@ def loss(
 
 def gradient(
     model: RankingModel, samples: list[LabeledSample], config: TrainConfig
-) -> Gradient:
-    """Exact gradient of :func:`loss` for every parameter."""
+) -> RankingModel:
+    """Exact gradient of :func:`loss` for every parameter, shaped like the
+    model: its ``table`` and ``global_bias`` hold the derivatives, so
+    ``.user_factors`` and the other blocks read them. It shares ``users``
+    and ``items`` with ``model``."""
     if not samples:
         raise ValueError("sample collection must be nonempty")
     rows, weight, positive = _encode(model, samples, config)
-    index = _index_table(model.table)
     table, global_bias = _gradient(
-        model, index, rows.T, rows[::-1].T, weight, positive, config.l2
+        model, _index_table(model.table), rows.T, rows[::-1].T, weight, positive,
+        config.l2,
     )
-    packed = replace(model, table=table)
-    return Gradient(
-        packed.user_factors, packed.item_factors, packed.user_bias, packed.item_bias,
-        global_bias,
-    )
+    return replace(model, table=table, global_bias=global_bias)
 
 
 @dataclass
@@ -537,7 +513,6 @@ def read_model(path: str | Path) -> RankingModel:
     if len(users) != header["users"] or len(items) != header["items"]:
         raise ValueError(f"{path}: truncated model snapshot")
     return RankingModel(
-        dimension=dimension,
         users=users,
         items=items,
         table=np.array(user_rows + item_rows, dtype=np.float64).reshape(

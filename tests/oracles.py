@@ -32,7 +32,6 @@ from tolrec.labeling import (
     watch_ratio,
 )
 from tolrec.trainer import (
-    Gradient,
     Objective,
     RankingModel,
     TrainConfig,
@@ -276,8 +275,9 @@ def finite_difference_gradient(
     samples: list[LabeledSample],
     config: TrainConfig,
     h: float = 1e-5,
-) -> Gradient:
-    """Central differences of the loss for every parameter coordinate."""
+) -> RankingModel:
+    """Central differences of the loss for every parameter coordinate, as a
+    model of the same shape."""
 
     def perturbed(attr, index, delta) -> float:
         clone = model.copy()
@@ -296,16 +296,15 @@ def finite_difference_gradient(
             ) / (2 * h)
         return out
 
-    return Gradient(
-        user_factors=array_gradient("user_factors"),
-        item_factors=array_gradient("item_factors"),
-        user_bias=array_gradient("user_bias"),
-        item_bias=array_gradient("item_bias"),
-        global_bias=(
-            perturbed("global_bias", None, h) - perturbed("global_bias", None, -h)
-        )
-        / (2 * h),
-    )
+    grad = model.copy()
+    grad.user_factors = array_gradient("user_factors")
+    grad.item_factors = array_gradient("item_factors")
+    grad.user_bias = array_gradient("user_bias")
+    grad.item_bias = array_gradient("item_bias")
+    grad.global_bias = (
+        perturbed("global_bias", None, h) - perturbed("global_bias", None, -h)
+    ) / (2 * h)
+    return grad
 
 
 def relabel_tolerance_as_negative(
@@ -327,7 +326,9 @@ def relabel_tolerance_as_negative(
     return out
 
 
-def max_relative_gradient_error(analytic: Gradient, numeric: Gradient) -> float:
+def max_relative_gradient_error(
+    analytic: RankingModel, numeric: RankingModel
+) -> float:
     """Largest coordinate-wise relative difference, with a small floor so
     near-zero coordinates compare on an absolute scale."""
     worst = 0.0
@@ -465,9 +466,10 @@ def _reference_step(model, batch, config) -> None:
     model.global_bias -= lr * float(np.sum(dz))
 
 
-def reference_gradient(model, batch, config) -> Gradient:
+def reference_gradient(model, batch, config) -> RankingModel:
     """:func:`tolrec.trainer.gradient` as ``_reference_step`` computes it:
-    each parameter array scattered on its own with ``np.add.at``."""
+    each parameter array scattered on its own with ``np.add.at``, returned
+    as a model of the same shape."""
     u_idx, i_idx, weight, positive, z = _reference_arrays(model, batch, config)
     y_hat = _reference_sigmoid(z)
     dz = np.where(positive, weight * (y_hat - 1.0), y_hat) / len(batch)
@@ -484,9 +486,13 @@ def reference_gradient(model, batch, config) -> Gradient:
         g_item_factors += config.l2 * model.item_factors
         g_user_bias += config.l2 * model.user_bias
         g_item_bias += config.l2 * model.item_bias
-    return Gradient(
-        g_user_factors, g_item_factors, g_user_bias, g_item_bias, float(np.sum(dz))
-    )
+    grad = model.copy()
+    grad.user_factors = g_user_factors
+    grad.item_factors = g_item_factors
+    grad.user_bias = g_user_bias
+    grad.item_bias = g_item_bias
+    grad.global_bias = float(np.sum(dz))
+    return grad
 
 
 def reference_train(

@@ -214,7 +214,7 @@ def test_criterion_05_beta_contract():
                 ok = ok and 0.0 <= sample.beta <= 1.0
     zero = label_one(watched(0.5), population, history, 1.0, 0.0)
     ok = ok and zero.label is Label.TOLERANCE and zero.beta == 0.0
-    report(5, ok, "beta equals clamp(ratio/average) over the grid; tie labels positive with weight 1")
+    report(5, ok, "beta equals clamp(ratio/average) over the grid; ties label positive; a population-baseline tie weighs exactly 1")
     assert ok
 
 

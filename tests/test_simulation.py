@@ -9,10 +9,12 @@ from tolrec import simulation, trainer
 from tolrec.events import Platform
 from tolrec.labeling import CausalLabeler, Label, LabelingConfig, label_log
 from tolrec.simulation import (
-    ReturnCurve,
+    RETURN_CEILING,
+    RETURN_FLOOR,
     SimConfig,
     SimUser,
     generate_population,
+    return_probability,
     simulate_arm,
     simulate_experiment,
     update_trust,
@@ -228,22 +230,12 @@ class TestTrustDynamics:
 
 class TestReturnCurve:
     def test_floor_and_ceiling_hit_exactly(self):
-        curve = ReturnCurve(floor=0.0, ceiling=0.9)
-        assert curve.probability(0.0) == 0.0
-        assert curve.probability(1.0) == pytest.approx(0.9)
+        assert return_probability(0.0) == RETURN_FLOOR
+        assert return_probability(1.0) == pytest.approx(RETURN_CEILING)
 
     def test_monotone_in_trust(self):
-        curve = ReturnCurve()
-        values = [curve.probability(t) for t in np.linspace(0, 1, 50)]
+        values = [return_probability(t) for t in np.linspace(0, 1, 50)]
         assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_zero_floor_absorbs_churn(self):
-        """An inactive user whose trust has hit zero can never come back:
-        every return draw compares against probability exactly 0."""
-        curve = ReturnCurve(floor=0.0)
-        p = curve.probability(0.0)
-        draws = np.random.default_rng(0).random(10_000)
-        assert not np.any(draws < p)
 
 
 class TestSimulateExperiment:

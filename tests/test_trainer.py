@@ -204,6 +204,20 @@ class TestLoss:
             assert value >= last - 1e-12
             last = value
 
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_scores_each_sample_as_raw_score(self, objective, rng):
+        """Training and ranking share one scoring core: without L2 the loss
+        is exactly the mean term over each sample's ``raw_score``, for the
+        batch and for each sample alone (where no mean can absorb an ulp)."""
+        batch = random_batch(rng, n_samples=60)
+        model = random_model([s.user_id for s in batch], [s.item_id for s in batch], 3, rng)
+        config = TrainConfig(objective=objective)
+        _, weight, positive = reference_encode(model, batch, config)
+        z = np.array([model.raw_score(s.user_id, s.item_id) for s in batch])
+        terms = weight * np.logaddexp(0.0, np.where(positive, -z, z))
+        assert loss(model, batch, config) == float(np.mean(terms))
+        assert [loss(model, [s], config) for s in batch] == terms.tolist()
+
 
 class TestEncode:
     @pytest.mark.parametrize("fixed_beta", [None, 0.3])
@@ -244,6 +258,15 @@ class TestEncode:
 
 
 class TestGradient:
+    def test_has_the_model_shape(self, rng):
+        batch = random_batch(rng)
+        model = random_model([s.user_id for s in batch], [s.item_id for s in batch], 3, rng)
+        grad = gradient(model, batch, TrainConfig())
+        assert grad.users == model.users and grad.items == model.items
+        assert grad.dimension == model.dimension == 3
+        assert grad.table.shape == model.table.shape
+        assert grad.table is not model.table
+
     def test_single_positive_bias_gradient(self):
         model = RankingModel.initialize(["u1"], ["i1"], 2, np.random.default_rng(0))
         for arr in (model.user_factors, model.item_factors, model.user_bias, model.item_bias):
