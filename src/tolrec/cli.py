@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -86,13 +87,8 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    out_path: str,
-    command: str,
-    resolved: dict,
-    inputs: list[str],
-    outputs: list[str],
-) -> None:
+def _write_manifest(out_path: str, command: str, resolved: dict, outputs: list[str]) -> None:
+    inputs = [resolved[name] for name in _INPUTS if resolved.get(name)]
     manifest = {
         "command": command,
         "config": {k: resolved[k] for k in sorted(resolved)},
@@ -196,6 +192,11 @@ OPTIONS: dict[str, dict[str, tuple]] = {
 
 _FLAG_NAMES = {"obj_a": "--objA", "obj_b": "--objB"}
 
+#: Output options that default to ``--out`` plus a suffix.
+_SIDECARS = {"profiles_out": ".profiles", "history_out": ".history.csv", "plot_out": ".plot.csv"}
+#: Options that name a file the command reads; the manifest digests each.
+_INPUTS = ("events", "samples", "analyze", "simulate", "train_history")
+
 _COMMAND_HELP = {
     "label": "label an event log",
     "train": "train a ranking model on labeled samples",
@@ -273,7 +274,22 @@ def _resolve(args: argparse.Namespace) -> dict:
     for name, value in resolved.items():
         if isinstance(value, float) and math.isnan(value):
             raise ValueError(f"{name} must be a number, got nan")
+    for name, suffix in _SIDECARS.items():
+        if name in resolved:
+            resolved[name] = resolved[name] or resolved["out"] + suffix
     return resolved
+
+
+def _check_paths(resolved: dict, config: str | None) -> None:
+    """Reject a run in which an output names the same file as an input or
+    another output, before any file is read or written."""
+    paths = {"config": config, **resolved, "manifest": resolved["out"] + ".manifest.json"}
+    seen = {os.path.realpath(paths[n]): n for n in ("config", *_INPUTS) if paths.get(n)}
+    for name in ("out", *_SIDECARS, "manifest"):
+        if name in paths:
+            other = seen.setdefault(os.path.realpath(paths[name]), name)
+            if other != name:
+                raise ValueError(f"{name} and {other} name the same file {paths[name]!r}")
 
 
 def _labeling_config(resolved: dict) -> LabelingConfig:
@@ -316,17 +332,17 @@ def _cmd_label(resolved: dict, outputs: list[str]) -> None:
     mode = LabelingMode(resolved["mode"])
     labeled = label_log(_ingest(resolved), config, mode)
     out = resolved["out"]
-    profiles_out = resolved["profiles_out"] or out + ".profiles"
-    resolved["profiles_out"] = profiles_out
     outputs.append(out)
     write_samples(out, labeled.samples)
-    outputs.append(profiles_out)
-    write_profiles(profiles_out, labeled.profiles)
-    _write_manifest(out, "label", resolved, [resolved["events"]], outputs)
+    outputs.append(resolved["profiles_out"])
+    write_profiles(resolved["profiles_out"], labeled.profiles)
+    _write_manifest(out, "label", resolved, outputs)
 
 
 def _cmd_train(resolved: dict, outputs: list[str]) -> None:
     config = _train_config(resolved, resolved["objective"], resolved["seed"])
+    if resolved["neg_sample"] < 0:
+        raise ValueError(f"neg_sample must be non-negative, got {resolved['neg_sample']}")
     samples = read_samples(resolved["samples"])
     if resolved["neg_sample"]:
         catalog = [s.item_id for s in samples]
@@ -342,11 +358,9 @@ def _cmd_train(resolved: dict, outputs: list[str]) -> None:
     out = resolved["out"]
     outputs.append(out)
     write_model(out, result.model)
-    history_out = resolved["history_out"] or out + ".history.csv"
-    resolved["history_out"] = history_out
-    outputs.append(history_out)
-    write_history(history_out, result.history, config.objective)
-    _write_manifest(out, "train", resolved, [resolved["samples"]], outputs)
+    outputs.append(resolved["history_out"])
+    write_history(resolved["history_out"], result.history, config.objective)
+    _write_manifest(out, "train", resolved, outputs)
 
 
 def _cmd_analyze(resolved: dict, outputs: list[str]) -> None:
@@ -364,11 +378,9 @@ def _cmd_analyze(resolved: dict, outputs: list[str]) -> None:
     out = resolved["out"]
     outputs.append(out)
     write_report(out, report)
-    plot_out = resolved["plot_out"] or out + ".plot.csv"
-    resolved["plot_out"] = plot_out
-    outputs.append(plot_out)
-    write_plot_data(plot_out, report)
-    _write_manifest(out, "analyze", resolved, [resolved["events"]], outputs)
+    outputs.append(resolved["plot_out"])
+    write_plot_data(resolved["plot_out"], report)
+    _write_manifest(out, "analyze", resolved, outputs)
 
 
 def _cmd_simulate(resolved: dict, outputs: list[str]) -> None:
@@ -400,7 +412,7 @@ def _cmd_simulate(resolved: dict, outputs: list[str]) -> None:
     out = resolved["out"]
     outputs.append(out)
     write_daily_report(out, runs)
-    _write_manifest(out, "simulate", resolved, [], outputs)
+    _write_manifest(out, "simulate", resolved, outputs)
 
 
 #: ``report`` option -> (section tag, headers it accepts, what its file is).
@@ -419,12 +431,10 @@ def _cmd_report(resolved: dict, outputs: list[str]) -> None:
     """Copy each input's header and rows, `#` comments skipped, under its
     section tag; the cohort section ends with its user counts."""
     sections = []
-    inputs = []
     for option, (tag, headers, what) in _REPORT_SECTIONS.items():
         path = resolved[option]
         if not path:
             continue
-        inputs.append(path)
         with open(path, encoding="utf-8", newline="") as handle:
             lines = list(handle)
         rows = list(csv.reader(line for line in lines if not line.startswith("#")))
@@ -446,7 +456,7 @@ def _cmd_report(resolved: dict, outputs: list[str]) -> None:
         handle.write(f"tolrec {__version__} run summary\n\n")
         handle.write("\n\n".join(sections))
         handle.write("\n")
-    _write_manifest(out, "report", resolved, inputs, outputs)
+    _write_manifest(out, "report", resolved, outputs)
 
 
 _HANDLERS = {
@@ -464,6 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     outputs: list[str] = []
     try:
         resolved = _resolve(args)
+        _check_paths(resolved, args.config)
         _HANDLERS[args.command](resolved, outputs)
     except Exception as exc:  # noqa: BLE001 - single CLI failure funnel
         for path in outputs:

@@ -4,11 +4,9 @@ The generator is seeded and uses only stable float formatting, so the
 same call always produces byte-identical files.
 """
 
-from pathlib import Path
-
 import numpy as np
 
-from .events import InteractionEvent, Platform, write_events
+from .events import InteractionEvent, Platform
 
 _ECOM_ACTIONS = ("cart", "favorite", "purchase")
 _VIDEO_ACTIONS = ("like", "comment", "share", "follow")
@@ -84,10 +82,4 @@ def generate_fixture_events(
                     followup_actions=actions,
                 )
             )
-    return events
-
-
-def write_fixture(path: str | Path, **kwargs) -> list[InteractionEvent]:
-    events = generate_fixture_events(**kwargs)
-    write_events(path, events)
     return events

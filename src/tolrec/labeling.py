@@ -101,9 +101,6 @@ class LabelingConfig:
         if self.beta_baseline not in ("user", "population"):
             raise ValueError("beta_baseline must be 'user' or 'population'")
 
-    def bucket_index(self, item_duration: float) -> int:
-        return bisect_right(self.duration_bucket_edges, item_duration)
-
     @property
     def bucket_count(self) -> int:
         return len(self.duration_bucket_edges) + 1
@@ -115,10 +112,6 @@ class BucketStats:
 
     count: int = 0
     mean: float = 0.0
-
-    def push(self, ratio: float) -> None:
-        self.count += 1
-        self.mean += (ratio - self.mean) / self.count
 
 
 @dataclass
@@ -226,7 +219,7 @@ def _running_means(
             excluded[active] = mean
             active += 1
         before.append(mean)
-        count += 1  # BucketStats.push, on locals
+        count += 1  # the oracles' reference_push, on locals
         mean += (ratio - mean) / count
     stats.count, stats.mean = count, mean
     return before, excluded.tolist()
@@ -243,9 +236,9 @@ def _list_means(
 
     Sorted longest first, the lists still active at step ``k`` are a prefix,
     and element ``k`` of each advances as one slice:
-    ``mean += (ratio - mean) / (start + k + 1)``, the operands of
-    :meth:`BucketStats.push` in its order, so the means are bit-identical to
-    pushing one ratio at a time. The leave-one-out trajectories of a list
+    ``mean += (ratio - mean) / (start + k + 1)``, the operands of the
+    oracles' ``reference_push`` in its order, so the means are bit-identical
+    to pushing one ratio at a time. The leave-one-out trajectories of a list
     advance the same way as :func:`_running_means`' skips, as a row of a 2-D
     array with divisor ``start + k``. Lists go in groups whose lengths lie
     within a factor of two, so that array holds at most twice the ratios.

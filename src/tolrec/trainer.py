@@ -150,9 +150,6 @@ class RankingModel:
         """Pre-sigmoid score; unknown ids contribute zeros."""
         return float(self._raw_scores(user_id, [item_id])[0])
 
-    def predict(self, user_id: str, item_id: str) -> float:
-        return float(sigmoid(self.raw_score(user_id, item_id)))
-
     def rank(self, user_id: str, candidates: list[str]) -> list[str]:
         """Candidates by descending score, ties broken by ascending item id."""
         if not candidates:
@@ -472,54 +469,6 @@ def write_model(path: str | Path, model: RankingModel) -> None:
                 row = model.table[first + ids[id_]]
                 record = {key: id_, "bias": float(row[-1]), "vector": row[:-1].tolist()}
                 handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-
-def read_model(path: str | Path) -> RankingModel:
-    with open(path, encoding="utf-8") as handle:
-        lines = [(n, line) for n, line in enumerate(handle, 1) if line.strip()]
-    try:
-        header = json.loads(lines[0][1])
-    except (IndexError, json.JSONDecodeError):
-        header = None
-    if not isinstance(header, dict) or header.get("format") != "tolrec-model":
-        raise ValueError(f"{path}: not a model snapshot")
-    for name in ("dimension", "users", "items", "global_bias"):
-        if name not in header:
-            raise ValueError(f"{path}: line {lines[0][0]}: header lacks {name!r}")
-    dimension = header["dimension"]
-    # Per kind: id -> row within the block, and the rows as [*vector, bias].
-    blocks: dict[str, tuple[dict, list]] = {"user": ({}, []), "item": ({}, [])}
-    for number, line in lines[1:]:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {number}: invalid JSON ({exc.msg})") from None
-        if type(record) is not dict:
-            raise ValueError(f"{path}: line {number}: record must be a JSON object")
-        key = "user" if "user" in record else "item"
-        if key not in record:
-            raise ValueError(f"{path}: line {number}: record lacks 'user' or 'item'")
-        for name in ("vector", "bias"):
-            if name not in record:
-                raise ValueError(f"{path}: line {number}: record lacks {name!r}")
-        ids, rows = blocks[key]
-        if record[key] in ids:
-            raise ValueError(f"{path}: duplicate {key} {record[key]!r}")
-        if len(record["vector"]) != dimension:
-            raise ValueError(f"{path}: line {number}: vector length is not {dimension}")
-        ids[record[key]] = len(rows)
-        rows.append([*record["vector"], record["bias"]])
-    (users, user_rows), (items, item_rows) = blocks.values()
-    if len(users) != header["users"] or len(items) != header["items"]:
-        raise ValueError(f"{path}: truncated model snapshot")
-    return RankingModel(
-        users=users,
-        items=items,
-        table=np.array(user_rows + item_rows, dtype=np.float64).reshape(
-            len(users) + len(items), dimension + 1
-        ),
-        global_bias=header["global_bias"],
-    )
 
 
 #: Column header of the loss history CSV that :func:`write_history` writes.

@@ -17,6 +17,8 @@ from tolrec.labeling import (
     UserProfile,
 )
 
+from oracles import reference_bucket
+
 ALL_ACTIONS = ("cart", "favorite", "purchase", "like", "comment", "share", "follow")
 
 
@@ -92,7 +94,7 @@ def label_one(
     the 0.5 seed when that is None."""
     labeler = CausalLabeler(config)
     if count:
-        bucket = config.bucket_index(event.item_duration)
+        bucket = reference_bucket(config, event.item_duration)
         labeler.profiles[event.user_id] = UserProfile(
             event.user_id, {bucket: BucketStats(count, mean)}
         )

@@ -43,6 +43,18 @@ _ECOM_POSITIVE = {"cart", "favorite", "purchase"}
 _VIDEO_POSITIVE = {"like", "comment", "share", "follow"}
 
 
+def reference_bucket(config: LabelingConfig, item_duration: float) -> int:
+    """The duration bucket an item falls in: edges are lower-inclusive."""
+    return bisect_right(config.duration_bucket_edges, item_duration)
+
+
+def reference_push(stats: BucketStats, ratio: float) -> None:
+    """Fold one ratio into a running mean, in the operand order that the
+    package's batched means are pinned to."""
+    stats.count += 1
+    stats.mean += (ratio - stats.mean) / stats.count
+
+
 def _running_mean(values) -> float:
     mean = 0.0
     for count, value in enumerate(values, start=1):
@@ -131,13 +143,13 @@ def brute_force_causal_labels(
     for k, event in enumerate(events):
         count, average, global_mean = 0, 0.0, GLOBAL_MEAN_SEED
         if k in capped:
-            bucket = config.bucket_index(event.item_duration)
+            bucket = reference_bucket(config, event.item_duration)
             prior = [
                 capped[j]
                 for j in by_user[event.user_id]
                 if j in capped
                 and events[j].timestamp < event.timestamp
-                and config.bucket_index(events[j].item_duration) == bucket
+                and reference_bucket(config, events[j].item_duration) == bucket
             ]
             n_earlier = bisect_left(global_ts, event.timestamp)
             global_mean = prefix_means[n_earlier] if n_earlier else 0.5
@@ -160,9 +172,9 @@ def update_profile(
             f"{profile.user_id!r}"
         )
     if event.clicked and event.platform is Platform.VIDEO:
-        bucket = config.bucket_index(event.item_duration)
+        bucket = reference_bucket(config, event.item_duration)
         stats = profile.buckets.setdefault(bucket, BucketStats())
-        stats.push(watch_ratio(event, config.ratio_cap))
+        reference_push(stats, watch_ratio(event, config.ratio_cap))
     return profile
 
 
@@ -179,7 +191,7 @@ def reference_causal_extend(
         profile = labeler.profiles.setdefault(event.user_id, UserProfile(event.user_id))
         update_profile(profile, event, labeler.config)
         if event.platform is Platform.VIDEO and event.clicked:
-            labeler._global.push(watch_ratio(event, labeler.config.ratio_cap))
+            reference_push(labeler._global, watch_ratio(event, labeler.config.ratio_cap))
 
     samples: list[LabeledSample | None] = [None] * len(events)
     order = sorted(range(len(events)), key=lambda k: (events[k].timestamp, k))
@@ -195,7 +207,7 @@ def reference_causal_extend(
             event = events[k]
             stats = BucketStats()
             if event.platform is Platform.VIDEO and event.user_id in labeler.profiles:
-                bucket = labeler.config.bucket_index(event.item_duration)
+                bucket = reference_bucket(labeler.config, event.item_duration)
                 stats = labeler.profiles[event.user_id].buckets.get(bucket, stats)
             samples[k] = reference_label(
                 event, stats.count, stats.mean, global_mean, labeler.config
@@ -237,7 +249,7 @@ def reference_label_leave_one_out(
             global_ratios.append(watch_ratio(event, config.ratio_cap))
     for k, event in enumerate(events):
         if event.platform is Platform.VIDEO and event.clicked:
-            key = (event.user_id, config.bucket_index(event.item_duration))
+            key = (event.user_id, reference_bucket(config, event.item_duration))
             ratios = per_bucket.setdefault(key, [])
             bucket_position[k] = len(ratios)
             ratios.append(watch_ratio(event, config.ratio_cap))
@@ -246,7 +258,7 @@ def reference_label_leave_one_out(
     for k, event in enumerate(events):
         count, mean, global_mean = 0, 0.0, GLOBAL_MEAN_SEED
         if event.platform is Platform.VIDEO and event.clicked:
-            bucket = config.bucket_index(event.item_duration)
+            bucket = reference_bucket(config, event.item_duration)
             ratios = per_bucket[(event.user_id, bucket)]
             count, mean = _mean_excluding(ratios, bucket_position[k])
             if count < config.min_history or config.beta_baseline == "population":
@@ -340,6 +352,22 @@ def max_relative_gradient_error(
     scale = max(abs(analytic.global_bias), abs(numeric.global_bias), 1e-8)
     worst = max(worst, abs(analytic.global_bias - numeric.global_bias) / scale)
     return worst
+
+
+def reference_read_model(path) -> RankingModel:
+    """Parse a ``write_model`` snapshot: a JSON header, then a JSON line per
+    user and then per item. Each id takes the next row of its block. The
+    input is assumed well formed."""
+    with open(path, encoding="utf-8") as handle:
+        header, *records = [json.loads(line) for line in handle]
+    n_users = header["users"]
+    table = np.array([[*r["vector"], r["bias"]] for r in records], dtype=np.float64)
+    return RankingModel(
+        users={r["user"]: k for k, r in enumerate(records[:n_users])},
+        items={r["item"]: k for k, r in enumerate(records[n_users:])},
+        table=table.reshape(n_users + header["items"], header["dimension"] + 1),
+        global_bias=header["global_bias"],
+    )
 
 
 def reference_raw_score(model: RankingModel, user_id: str, item_id: str) -> float:

@@ -22,7 +22,7 @@ from tolrec.labeling import (
     watch_ratio,
 )
 from tolrec.simulation import SimConfig, simulate_experiment
-from tolrec.trainer import Objective, TrainConfig, gradient, loss, train
+from tolrec.trainer import Objective, TrainConfig, gradient, loss, sigmoid, train
 
 from conftest import label_one, random_event_log
 from oracles import (
@@ -243,9 +243,14 @@ def test_criterion_06_score_hierarchy():
         batch_size=len(samples),
     )
     model = train(samples, config).model
-    mean_p = float(np.mean([model.predict("u1", f"p{k:02d}") for k in range(10)]))
-    mean_t = float(np.mean([model.predict("u1", f"t{k:02d}") for k in range(10)]))
-    mean_n = float(np.mean([model.predict("u1", f"n{k:02d}") for k in range(30)]))
+
+    def mean_probability(prefix: str, count: int) -> float:
+        scores = [model.raw_score("u1", f"{prefix}{k:02d}") for k in range(count)]
+        return float(np.mean([float(sigmoid(z)) for z in scores]))
+
+    mean_p = mean_probability("p", 10)
+    mean_t = mean_probability("t", 10)
+    mean_n = mean_probability("n", 30)
     ok = mean_p - mean_t > 0.05 and mean_t - mean_n > 0.05
     report(6, ok, f"score hierarchy P({mean_p:.3f}) > T({mean_t:.3f}) > N({mean_n:.3f}) with margins > 0.05")
     assert ok

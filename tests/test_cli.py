@@ -163,7 +163,8 @@ class TestConfigFile:
 
     #: Every command's defaults written out literally, so that no edit of
     #: `OPTIONS` moves one unnoticed; the benchmark's pinned manifests cover
-    #: only the commands and flags it runs.
+    #: only the commands and flags it runs. A sidecar output defaults to
+    #: ``--out`` plus its suffix, as the manifest records it.
     DEFAULTS = {
         "label": {
             "mode": "causal",
@@ -172,7 +173,7 @@ class TestConfigFile:
             "min_history": 5,
             "ratio_cap": 1.0,
             "beta_baseline": "user",
-            "profiles_out": None,
+            "profiles_out": "o.profiles",
             "threads": 1,
         },
         "train": {
@@ -185,14 +186,14 @@ class TestConfigFile:
             "batch_size": 256,
             "seed": 0,
             "neg_sample": 0,
-            "history_out": None,
+            "history_out": "o.history.csv",
         },
         "analyze": {
             "platform": "video",
             "buckets": "",
             "ratio_cap": 1.0,
             "min_watch_seconds": 0.0,
-            "plot_out": None,
+            "plot_out": "o.plot.csv",
             "threads": 1,
         },
         "simulate": {
@@ -434,6 +435,14 @@ def test_negative_seed_fails_by_name(tmp_path, capsys, command):
     assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
+def test_negative_neg_sample_fails_by_name(tmp_path, capsys):
+    # No samples file: the count must fail before it is read.
+    argv = ["--samples", tmp_path / "absent.jsonl", "--out", tmp_path / "out"]
+    assert run("train", *argv, "--neg-sample", "-1") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert "neg_sample must be non-negative" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def report_inputs(tmp_path_factory):
     """One input of each kind that `report` merges, made by the commands:
@@ -570,6 +579,135 @@ class TestReportCommand:
 
     def test_requires_at_least_one_input(self, tmp_path):
         assert run("report", "--out", tmp_path / "summary.txt") == 1
+
+
+_WINDOWS = ("--ref", "2024-06-01..2024-06-08", "--inv", "2024-06-08..2024-06-15")
+_SMALL_SIM = ("--days", "1", "--population", "10", "--catalog", "20", "--pool", "8",
+              "--slate", "4", "--epochs", "1")
+
+#: Case -> (argv, with file names relative to the run's directory; the two
+#: option names the error must give, `manifest` for `<out>.manifest.json`).
+#: `link.jsonl` is a symlink to the events.
+COLLISIONS = {
+    "label-out-is-events": (
+        ("label", "--events", "events.jsonl", "--out", "events.jsonl"),
+        ("out", "events"),
+    ),
+    "label-out-is-events-profiles-unwritable": (
+        ("label", "--events", "events.jsonl", "--out", "events.jsonl",
+         "--profiles-out", "missing/p"),
+        ("out", "events"),
+    ),
+    "label-out-is-events-by-symlink": (
+        ("label", "--events", "events.jsonl", "--out", "link.jsonl"),
+        ("out", "events"),
+    ),
+    "label-out-is-config": (
+        ("label", "--events", "events.jsonl", "--config", "config.json",
+         "--out", "config.json"),
+        ("out", "config"),
+    ),
+    "label-profiles-is-events": (
+        ("label", "--events", "events.jsonl", "--out", "s.jsonl",
+         "--profiles-out", "events.jsonl"),
+        ("profiles_out", "events"),
+    ),
+    "label-profiles-is-out": (
+        ("label", "--events", "events.jsonl", "--out", "s.jsonl",
+         "--profiles-out", "s.jsonl"),
+        ("profiles_out", "out"),
+    ),
+    "label-profiles-is-manifest": (
+        ("label", "--events", "events.jsonl", "--out", "s.jsonl",
+         "--profiles-out", "s.jsonl.manifest.json"),
+        ("manifest", "profiles_out"),
+    ),
+    "train-out-is-samples": (
+        ("train", "--samples", "samples.jsonl", "--out", "samples.jsonl"),
+        ("out", "samples"),
+    ),
+    "train-history-is-samples": (
+        ("train", "--samples", "samples.jsonl", "--out", "m.txt",
+         "--history-out", "samples.jsonl"),
+        ("history_out", "samples"),
+    ),
+    "train-history-is-out": (
+        ("train", "--samples", "samples.jsonl", "--out", "m.txt", "--history-out", "m.txt"),
+        ("history_out", "out"),
+    ),
+    "train-history-is-manifest": (
+        ("train", "--samples", "samples.jsonl", "--out", "m.txt",
+         "--history-out", "m.txt.manifest.json"),
+        ("manifest", "history_out"),
+    ),
+    "analyze-out-is-events": (
+        ("analyze", *_WINDOWS, "--events", "events.jsonl", "--out", "events.jsonl"),
+        ("out", "events"),
+    ),
+    "analyze-plot-is-events": (
+        ("analyze", *_WINDOWS, "--events", "events.jsonl", "--out", "c.csv",
+         "--plot-out", "events.jsonl"),
+        ("plot_out", "events"),
+    ),
+    "analyze-plot-is-out": (
+        ("analyze", *_WINDOWS, "--events", "events.jsonl", "--out", "c.csv",
+         "--plot-out", "c.csv"),
+        ("plot_out", "out"),
+    ),
+    "analyze-plot-is-manifest": (
+        ("analyze", *_WINDOWS, "--events", "events.jsonl", "--out", "c.csv",
+         "--plot-out", "c.csv.manifest.json"),
+        ("manifest", "plot_out"),
+    ),
+    "simulate-out-is-config": (
+        ("simulate", *_SMALL_SIM, "--config", "config.json", "--out", "config.json"),
+        ("out", "config"),
+    ),
+    "report-out-is-analyze": (
+        ("report", "--analyze", "video.csv", "--out", "video.csv"),
+        ("out", "analyze"),
+    ),
+    "report-out-is-simulate": (
+        ("report", "--simulate", "daily.csv", "--out", "daily.csv"),
+        ("out", "simulate"),
+    ),
+    "report-out-is-train-history": (
+        ("report", "--train-history", "history.csv", "--out", "history.csv"),
+        ("out", "train_history"),
+    ),
+    "report-out-is-config": (
+        ("report", "--analyze", "video.csv", "--config", "config.json",
+         "--out", "config.json"),
+        ("out", "config"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(COLLISIONS))
+def test_output_naming_an_input_or_output_fails(
+    tmp_path, monkeypatch, capsys, report_inputs, case
+):
+    """An output that resolves to an input or to another output fails the
+    run before any file is written: every input keeps its bytes, no file
+    appears, and the error names both options."""
+    root = report_inputs["video"].parent
+    for name in ("events.jsonl", "samples.jsonl"):
+        shutil.copy(root / name, tmp_path / name)
+    for name in ("video", "daily", "history"):
+        shutil.copy(report_inputs[name], tmp_path / f"{name}.csv")
+    (tmp_path / "config.json").write_text("{}\n")
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "events.jsonl")
+
+    def files():
+        return {p.name: p.is_symlink() or p.read_bytes() for p in tmp_path.iterdir()}
+
+    before = files()
+    argv, flags = COLLISIONS[case]
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    assert files() == before
+    err = capsys.readouterr().err
+    assert f"{flags[0]} and {flags[1]} name the same file" in err, err
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

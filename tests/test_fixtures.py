@@ -1,5 +1,5 @@
-from tolrec.events import event_to_json, ingest_log
-from tolrec.fixtures import generate_fixture_events, write_fixture
+from tolrec.events import event_to_json, ingest_log, write_events
+from tolrec.fixtures import generate_fixture_events
 
 
 def test_generation_is_byte_stable():
@@ -10,7 +10,8 @@ def test_generation_is_byte_stable():
 
 def test_fixture_round_trips_through_ingestion(tmp_path):
     path = tmp_path / "fixture.jsonl"
-    events = write_fixture(path, n_events=500, seed=9)
+    events = generate_fixture_events(n_events=500, seed=9)
+    write_events(path, events)
     result = ingest_log(path)
     assert len(result.events) == len(events)
     assert result.rejected_count == 0

@@ -25,6 +25,7 @@ from oracles import (
     brute_force_causal_labels,
     reference_causal_extend,
     reference_label_leave_one_out,
+    reference_push,
     update_profile,
 )
 
@@ -539,7 +540,7 @@ def random_lists(rng, n_lists=30):
 
 
 class TestListMeans:
-    """The batched (user, bucket) running means against BucketStats.push,
+    """The batched (user, bucket) running means against reference_push,
     one ratio at a time, compared with == on the floats."""
 
     @pytest.mark.parametrize("seed", range(6))
@@ -559,7 +560,7 @@ class TestListMeans:
                 if i == 0 or timestamps[i] != timestamps[i - 1]:
                     state = (pushed.count, pushed.mean)
                 expected.append(state)
-                pushed.push(ratio)
+                reference_push(pushed, ratio)
             finals.append(pushed)
         assert list(zip(count[first].tolist(), mean[first].tolist())) == expected
         assert stats == finals
@@ -578,11 +579,11 @@ class TestListMeans:
                 pushed = BucketStats(*start)
                 for i, ratio in enumerate(ratios):
                     if i != skip:
-                        pushed.push(ratio)
+                        reference_push(pushed, ratio)
                 expected.append((pushed.count, pushed.mean))
             finals.append(BucketStats(*start))
             for ratio in ratios:
-                finals[-1].push(ratio)
+                reference_push(finals[-1], ratio)
         assert list(zip(count.tolist(), mean.tolist())) == expected
         assert stats == finals
 
