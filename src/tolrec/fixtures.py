@@ -10,6 +10,10 @@ from .events import InteractionEvent, Platform
 
 _ECOM_ACTIONS = ("cart", "favorite", "purchase")
 _VIDEO_ACTIONS = ("like", "comment", "share", "follow")
+#: Share of video events, and the window the timestamps fall in.
+_VIDEO_FRACTION = 0.7
+_START = 1_717_200_000
+_SPAN = 14 * 86_400
 
 
 def generate_fixture_events(
@@ -17,9 +21,6 @@ def generate_fixture_events(
     n_users: int = 120,
     n_items: int = 400,
     seed: int = 7,
-    video_fraction: float = 0.7,
-    start: int = 1_717_200_000,
-    span_days: int = 14,
 ) -> list[InteractionEvent]:
     """A mixed video/e-commerce log with per-user habits baked in.
 
@@ -30,14 +31,13 @@ def generate_fixture_events(
     rng = np.random.default_rng(seed)
     patience = rng.uniform(0.3, 0.9, n_users)
     events = []
-    span = span_days * 86_400
     for _ in range(n_events):
         u = int(rng.integers(n_users))
         user_id = f"u{u:04d}"
         item_id = f"i{int(rng.integers(n_items)):04d}"
         # Coarse steps keep timestamp collisions frequent.
-        timestamp = start + int(rng.integers(span // 600)) * 600
-        if rng.random() < video_fraction:
+        timestamp = _START + int(rng.integers(_SPAN // 600)) * 600
+        if rng.random() < _VIDEO_FRACTION:
             duration = float(np.round(np.exp(rng.uniform(np.log(10), np.log(900))), 1))
             clicked = bool(rng.random() < 0.75)
             if clicked:

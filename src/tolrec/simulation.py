@@ -10,10 +10,11 @@ logistic return curve over trust. Items whose surface vectors diverge
 from their content vectors (``surface_true_correlation < 1``) are the
 clickbait that manufactures tolerance.
 
-Each arm is a separate run seeded from the same ``SimConfig``: it builds
-the same population, the same per-user random streams and the same matrix
-of return-probability draws, and shares nothing with its partner. So any
-difference between arms is attributable to the training objective alone.
+The ``SimConfig`` seed fixes a read-only :class:`Population`: ids,
+patience, durations, appeal and experience. Each arm is a separate run that
+owns its state (trust, activity, per-user random streams, labeler, log and
+model) and shares nothing with its partner. Both arms draw alike, so any
+difference between them is attributable to the training objective alone.
 """
 
 import csv
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import InteractionEvent, Platform
+from .events import _NO_ACTIONS, InteractionEvent, Platform, _new, _set
 from .labeling import (
     CausalLabeler,
     Label,
@@ -61,26 +62,22 @@ RETURN_STEEPNESS = 8.0
 RETURN_MIDPOINT = 0.5
 
 
-@dataclass
-class SimUser:
-    user_id: str
-    true_affinity: np.ndarray
-    #: Baseline completion tendency in (0, 1).
-    patience: float
-    trust: float = 1.0
-    active: bool = True
+@dataclass(frozen=True, eq=False)
+class Population:
+    """The fixed world of one ``SimConfig``; users and items are indexed
+    ``u`` and ``j`` in id order."""
 
-
-@dataclass(frozen=True)
-class SimItem:
-    item_id: str
-    surface: np.ndarray
-    true_content: np.ndarray
-    duration: float
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("item duration must be positive")
+    user_ids: tuple[str, ...]
+    item_ids: tuple[str, ...]
+    #: Each user's baseline completion tendency, in (0.65, 0.95).
+    patience: tuple[float, ...]
+    #: Each item's length in seconds. Like ``patience``, Python floats: an
+    #: ``np.float64`` would reach the events' ``watch_duration``.
+    durations: tuple[float, ...]
+    #: ``appeal[u, j]`` is user ``u``'s taste dotted with item ``j``'s surface
+    #: vector, ``experience`` with its true content; both are read-only.
+    appeal: np.ndarray
+    experience: np.ndarray
 
 
 def _expit(z: float) -> float:
@@ -126,6 +123,10 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.rule_mode, RuleMode):
             raise ValueError(f"rule_mode must be a RuleMode, got {self.rule_mode!r}")
+        for name in ("population", "catalog", "days", "slate_size", "candidate_pool",
+                     "dimension", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.population < 2 or self.catalog < 1:
             raise ValueError("population must be >= 2 and catalog >= 1")
         if self.days < 1:
@@ -146,12 +147,12 @@ class SimConfig:
             raise ValueError("slate_size cannot exceed candidate_pool")
         if self.candidate_pool > self.catalog:
             raise ValueError("candidate_pool cannot exceed catalog")
-        if type(self.seed) is not int or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def generate_population(config: SimConfig) -> tuple[list[SimUser], list[SimItem]]:
-    """Seeded users and items.
+def generate_population(config: SimConfig) -> Population:
+    """The seeded world of ``config``.
 
     Vector components are scaled so dot products are roughly unit-normal.
     An item's surface vector is ``rho * content + sqrt(1 - rho^2) * noise``,
@@ -166,50 +167,45 @@ def generate_population(config: SimConfig) -> tuple[list[SimUser], list[SimItem]
     scale = (4.0 / d) ** 0.25
     omega = POPULATION_TASTE
     shared_taste = rng.normal(0.0, scale, d)
-    users = []
-    for u in range(config.population):
-        taste = (
+    tastes, patience = [], []
+    for _ in range(config.population):
+        tastes.append(
             math.sqrt(1.0 - omega * omega) * rng.normal(0.0, scale, d)
             + omega * shared_taste
         )
-        users.append(
-            SimUser(
-                user_id=f"u{u:05d}",
-                true_affinity=taste,
-                patience=float(rng.uniform(0.65, 0.95)),
-            )
-        )
+        patience.append(float(rng.uniform(0.65, 0.95)))
     rho = config.surface_true_correlation
-    items = []
-    for i in range(config.catalog):
+    surfaces, contents, durations = [], [], []
+    for _ in range(config.catalog):
         content = rng.normal(0.0, scale, d)
         noise = rng.normal(0.0, scale, d)
-        surface = rho * content + math.sqrt(1.0 - rho * rho) * noise
-        duration = float(math.exp(rng.uniform(math.log(10.0), math.log(600.0))))
-        items.append(
-            SimItem(
-                item_id=f"i{i:05d}",
-                surface=surface,
-                true_content=content,
-                duration=duration,
-            )
-        )
-    return users, items
+        surfaces.append(rho * content + math.sqrt(1.0 - rho * rho) * noise)
+        contents.append(content)
+        durations.append(float(math.exp(rng.uniform(math.log(10.0), math.log(600.0)))))
+    # Plain einsum sums in numpy's own loop: the BLAS kernel cannot move a bit.
+    appeal = np.einsum("ud,id->ui", tastes, surfaces)
+    experience = np.einsum("ud,id->ui", tastes, contents)
+    appeal.flags.writeable = experience.flags.writeable = False
+    return Population(
+        user_ids=tuple(f"u{u:05d}" for u in range(config.population)),
+        item_ids=tuple(f"i{j:05d}" for j in range(config.catalog)),
+        patience=tuple(patience),
+        durations=tuple(durations),
+        appeal=appeal,
+        experience=experience,
+    )
 
 
 def user_response(
-    user: SimUser,
-    item: SimItem,
-    appeal: float,
-    experience: float,
+    world: Population,
+    u: int,
+    j: int,
     rng: np.random.Generator,
     timestamp: int,
     config: SimConfig,
 ) -> InteractionEvent:
-    """Simulate one impression.
+    """Simulate user ``u``'s impression of item ``j``.
 
-    ``appeal`` and ``experience`` are the user's taste dotted with the
-    item's surface and with its true content, as Python floats.
     Click probability follows surface appeal. Given a click, the watch
     ratio is sampled around ``COMPLETION_GAIN * patience * sigmoid(true
     affinity)``, normalized by the expectation the surface raised, then
@@ -219,44 +215,46 @@ def user_response(
     shrinks with the expectation gap and grows with patience. Follow-up
     actions fire only on genuinely liked items that kept their promise.
     """
+    appeal = world.appeal.item(u, j)
     clicked = rng.random() < _expit(appeal / config.temperature)
-    ratio, actions = 0.0, frozenset()
+    ratio, actions = 0.0, _NO_ACTIONS
     if clicked:
         expectation = _expit(WATCH_SHARPNESS * appeal)
-        satisfaction = _expit(WATCH_SHARPNESS * experience)
+        satisfaction = _expit(WATCH_SHARPNESS * world.experience.item(u, j))
         kept_promise = min(1.0, satisfaction / expectation)
-        center = COMPLETION_GAIN * user.patience * kept_promise
+        center = COMPLETION_GAIN * world.patience[u] * kept_promise
         ratio = center + rng.normal(0.0, RATIO_NOISE)
         ratio = min(max(ratio, 0.0), 1.0)
         if satisfaction >= expectation and satisfaction > ACTION_AFFINITY_THRESHOLD:
             if rng.random() < ACTION_PROBABILITY:
                 action = _VIDEO_ACTIONS[int(rng.integers(len(_VIDEO_ACTIONS)))]
                 actions = frozenset({action})
-    return InteractionEvent(
-        user_id=user.user_id,
-        item_id=item.item_id,
-        timestamp=timestamp,
-        platform=Platform.VIDEO,
-        clicked=clicked,
-        watch_duration=ratio * item.duration,
-        item_duration=item.duration,
-        followup_actions=actions,
-    )
+    # Only valid values reach the event, so it skips the constructor's checks.
+    event = _new(InteractionEvent)
+    _set(event, "user_id", world.user_ids[u])
+    _set(event, "item_id", world.item_ids[j])
+    _set(event, "timestamp", timestamp)
+    _set(event, "platform", Platform.VIDEO)
+    _set(event, "clicked", clicked)
+    _set(event, "watch_duration", ratio * world.durations[j])
+    _set(event, "item_duration", world.durations[j])
+    _set(event, "followup_actions", actions)
+    return event
 
 
-def update_trust(user: SimUser, label: Label, config: SimConfig) -> None:
+def update_trust(trust: float, label: Label, config: SimConfig) -> float:
     """Tolerance erodes trust multiplicatively; a positive session restores
     a little, capped at 1. Negatives (non-clicks) cost the user nothing."""
     if label is Label.TOLERANCE:
-        user.trust *= 1.0 - config.trust_decay
-    elif label is Label.POSITIVE:
-        user.trust = min(1.0, user.trust + config.trust_recovery)
+        return trust * (1.0 - config.trust_decay)
+    if label is Label.POSITIVE:
+        return min(1.0, trust + config.trust_recovery)
+    return trust
 
 
-@dataclass
+@dataclass(frozen=True)
 class DayArmStats:
     day: int
-    arm: str
     active_users: int
     retention: float
     dwell_mean: float
@@ -268,77 +266,65 @@ class DayArmStats:
         return self.tolerance_events / self.impressions if self.impressions else 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimReport:
-    rows: list[DayArmStats]
+    """Each arm's daily rows, day 1 first."""
 
-    def arm_rows(self, arm: str) -> list[DayArmStats]:
-        return [r for r in self.rows if r.arm == arm]
+    a: list[DayArmStats]
+    b: list[DayArmStats]
 
     def overall_tolerance_rate(self, arm: str) -> float:
-        rows = self.arm_rows(arm)
+        rows = {"A": self.a, "B": self.b}[arm]
         impressions = sum(r.impressions for r in rows)
         if impressions == 0:
             return 0.0
         return sum(r.tolerance_events for r in rows) / impressions
 
     def average_retention_delta(self) -> float:
-        deltas = [
-            b.retention - a.retention
-            for a, b in zip(self.arm_rows("A"), self.arm_rows("B"))
-        ]
+        deltas = [b.retention - a.retention for a, b in zip(self.a, self.b)]
         return sum(deltas) / len(deltas) if deltas else 0.0
 
     def table_rows(self) -> list[list[str]]:
         """Rows for the daily CSV: per-day per-arm stats with deltas taken
         against arm A, then one average row per arm."""
-        a_rows = {r.day: r for r in self.arm_rows("A")}
         out = []
-        for row in self.rows:
-            base = a_rows[row.day]
-            out.append(
-                [
-                    str(row.day),
-                    row.arm,
-                    str(row.active_users),
-                    f"{row.retention - base.retention:.6f}",
-                    f"{row.tolerance_rate:.6f}",
-                    f"{row.dwell_mean - base.dwell_mean:.3f}",
-                ]
-            )
-        for arm in ("A", "B"):
-            rows = self.arm_rows(arm)
-            base_rows = self.arm_rows("A")
+        for base, row_b in zip(self.a, self.b):
+            for arm, row in (("A", base), ("B", row_b)):
+                out.append(
+                    [
+                        str(row.day),
+                        arm,
+                        str(row.active_users),
+                        f"{row.retention - base.retention:.6f}",
+                        f"{row.tolerance_rate:.6f}",
+                        f"{row.dwell_mean - base.dwell_mean:.3f}",
+                    ]
+                )
+        for arm, rows in (("A", self.a), ("B", self.b)):
             n = len(rows)
             out.append(
                 [
                     "avg",
                     arm,
                     str(round(sum(r.active_users for r in rows) / n)),
-                    f"{sum(r.retention - b.retention for r, b in zip(rows, base_rows)) / n:.6f}",
+                    f"{sum(r.retention - b.retention for r, b in zip(rows, self.a)) / n:.6f}",
                     f"{sum(r.tolerance_rate for r in rows) / n:.6f}",
-                    f"{sum(r.dwell_mean - b.dwell_mean for r, b in zip(rows, base_rows)) / n:.3f}",
+                    f"{sum(r.dwell_mean - b.dwell_mean for r, b in zip(rows, self.a)) / n:.3f}",
                 ]
             )
         return out
 
 
-def simulate_arm(name: str, config: TrainConfig, sim: SimConfig) -> list[DayArmStats]:
+def simulate_arm(config: TrainConfig, sim: SimConfig) -> list[DayArmStats]:
     """Run one arm of the experiment and return its daily rows.
 
-    The arm builds its own population, ground truth, per-user generators,
-    labeler, log and model from ``sim``, so its rows depend only on
-    ``config`` and ``sim``: never on its partner or its position.
+    The arm reads the world of ``sim`` and builds its own state from it:
+    every user's trust and activity, per-user generators, labeler, log and
+    model. So its rows depend only on ``config`` and ``sim``: never on its
+    partner or its position.
     """
-    users, items = generate_population(sim)
-    user_by_id = {user.user_id: user for user in users}
-    item_ids = [it.item_id for it in items]
-    catalog_index = {item_id: j for j, item_id in enumerate(item_ids)}
-    # Ground truth fixed for the run. Plain einsum sums in numpy's own loop,
-    # so the bits do not depend on the BLAS kernel.
-    tastes = [user.true_affinity for user in users]
-    appeal = np.einsum("ud,id->ui", tastes, [it.surface for it in items])
-    experience = np.einsum("ud,id->ui", tastes, [it.true_content for it in items])
+    world = generate_population(sim)
+    catalog_index = {item_id: j for j, item_id in enumerate(world.item_ids)}
     # Seeded alike in every arm, so the arms' behaviour streams and return
     # draws are identical and only the ranking differs.
     rngs = [np.random.default_rng([sim.seed, 17, u]) for u in range(sim.population)]
@@ -348,27 +334,25 @@ def simulate_arm(name: str, config: TrainConfig, sim: SimConfig) -> list[DayArmS
     labeler = CausalLabeler(LabelingConfig(rule_mode=sim.rule_mode))
     log: list[LabeledSample] = []
     model: RankingModel | None = None
+    trust = dict.fromkeys(world.user_ids, 1.0)
+    active = list(range(sim.population))
 
     rows = []
     for day in range(1, sim.days + 1):
-        active = [u for u, user in enumerate(users) if user.active]
         events: list[InteractionEvent] = []
         for u in active:
-            user, rng = users[u], rngs[u]
+            rng = rngs[u]
             pool_idx = rng.choice(sim.catalog, size=sim.candidate_pool, replace=False)
-            pool = [item_ids[j] for j in pool_idx]
+            pool = [world.item_ids[j] for j in pool_idx]
             if model is None:
                 slate = pool[: sim.slate_size]
             else:
-                slate = model.rank(user.user_id, pool)[: sim.slate_size]
+                slate = model.rank(world.user_ids[u], pool)[: sim.slate_size]
             for slot, item_id in enumerate(slate):
-                j = catalog_index[item_id]
                 timestamp = day * DAY_SECONDS + slot * 60
-                # Python floats: an np.float64 would reach watch_duration.
-                events.append(user_response(
-                    user, items[j], float(appeal[u, j]), float(experience[u, j]),
-                    rng, timestamp, sim,
-                ))
+                events.append(
+                    user_response(world, u, catalog_index[item_id], rng, timestamp, sim)
+                )
 
         events.sort(key=lambda e: (e.user_id, e.timestamp))
         samples = labeler.extend(events)
@@ -380,28 +364,24 @@ def simulate_arm(name: str, config: TrainConfig, sim: SimConfig) -> list[DayArmS
                         "labeler produced a tolerance label for a non-click"
                     )
                 tolerance_events += 1
-            update_trust(user_by_id[sample.user_id], sample.label, sim)
+            trust[sample.user_id] = update_trust(trust[sample.user_id], sample.label, sim)
         log.extend(samples)
 
         if log:
             init = model if sim.warm_start else None
             model = train(log, config, init_model=init, history=False).model
 
-        dwell: dict[str, float] = {users[u].user_id: 0.0 for u in active}
+        dwell: dict[str, float] = {world.user_ids[u]: 0.0 for u in active}
         for event in events:
             dwell[event.user_id] += event.watch_duration
-        retained = 0
-        for u, user in enumerate(users):
-            next_active = bool(
-                return_draws[u, day - 1] < return_probability(user.trust)
-            )
-            if user.active and next_active:
-                retained += 1
-            user.active = next_active
+        returning = [
+            u for u, user_id in enumerate(world.user_ids)
+            if return_draws[u, day - 1] < return_probability(trust[user_id])
+        ]
+        retained = len(set(active).intersection(returning))
         rows.append(
             DayArmStats(
                 day=day,
-                arm=name,
                 active_users=len(active),
                 retention=retained / len(active) if active else 0.0,
                 dwell_mean=sum(dwell.values()) / len(dwell) if dwell else 0.0,
@@ -409,21 +389,19 @@ def simulate_arm(name: str, config: TrainConfig, sim: SimConfig) -> list[DayArmS
                 tolerance_events=tolerance_events,
             )
         )
+        active = returning
     return rows
 
 
 def simulate_experiment(
     config_a: TrainConfig, config_b: TrainConfig, sim: SimConfig
 ) -> SimReport:
-    """Run the paired two-arm experiment and return the daily report, arm A
-    then arm B for each day.
+    """Run the paired two-arm experiment and return each arm's daily rows.
 
     Give both configs the same seed to keep model initialization paired;
     everything else is paired by construction.
     """
-    rows_a = simulate_arm("A", config_a, sim)
-    rows_b = simulate_arm("B", config_b, sim)
-    return SimReport([row for pair in zip(rows_a, rows_b) for row in pair])
+    return SimReport(simulate_arm(config_a, sim), simulate_arm(config_b, sim))
 
 
 DAILY_REPORT_HEADER = [

@@ -62,13 +62,16 @@ class TrainConfig:
             raise ValueError(f"objective must be an Objective, got {self.objective!r}")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        for name in ("epochs", "dimension", "batch_size", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.dimension < 1 or self.batch_size < 1:
             raise ValueError("epochs, dimension, and batch_size must be positive")
         if not self.l2 >= 0:
             raise ValueError("l2 must be non-negative")
         if self.fixed_beta is not None and not 0.0 <= self.fixed_beta <= 1.0:
             raise ValueError("fixed_beta must lie in [0, 1]")
-        if type(self.seed) is not int or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 

@@ -69,7 +69,7 @@ def _arm_cache():
 @pytest.fixture
 def shared_arms(_arm_cache, monkeypatch):
     """Simulate each distinct arm once per module run. An arm's rows depend
-    only on its name, train config and sim config (see
+    only on its train config and sim config (see
     ``test_arm_does_not_depend_on_partner_or_position``), so criteria 08
     and 09 A/A share their standard arms. Criterion 10 does not use this:
     its second pipeline run must simulate afresh."""
@@ -383,8 +383,8 @@ def test_criterion_09_null_effect_without_trust_decay():
         )
         deltas.append(rep.average_retention_delta())
         rows_a, rows_b = (
-            [(r.day, r.active_users, r.retention) for r in rep.arm_rows(arm)]
-            for arm in ("A", "B")
+            [(r.day, r.active_users, r.retention) for r in rows]
+            for rows in (rep.a, rep.b)
         )
         equal_rows += rows_a == rows_b
         lower += rep.overall_tolerance_rate("B") < rep.overall_tolerance_rate("A")

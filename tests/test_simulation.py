@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from tolrec import simulation, trainer
-from tolrec.events import Platform
+from tolrec.events import Platform, _check_event
 from tolrec.labeling import CausalLabeler, Label, LabelingConfig, label_log
 from tolrec.simulation import (
     RETURN_CEILING,
     RETURN_FLOOR,
+    Population,
     SimConfig,
-    SimUser,
     generate_population,
     return_probability,
     simulate_arm,
@@ -42,19 +42,6 @@ def small_sim(**overrides):
     defaults = dict(population=30, catalog=60, days=3, slate_size=5, candidate_pool=15)
     defaults.update(overrides)
     return SimConfig(**defaults)
-
-
-def respond(user, item, rng, timestamp, config):
-    """``user_response`` given this pair's appeal and experience."""
-    return user_response(
-        user,
-        item,
-        float(np.einsum("d,d", user.true_affinity, item.surface)),
-        float(np.einsum("d,d", user.true_affinity, item.true_content)),
-        rng,
-        timestamp,
-        config,
-    )
 
 
 class TestSimConfig:
@@ -95,68 +82,80 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="seed"):
             small_sim(seed=seed)
 
+    @pytest.mark.parametrize(
+        "field", ["population", "catalog", "days", "slate_size", "candidate_pool", "dimension"]
+    )
+    @pytest.mark.parametrize("value", [2.5, True, None])
+    def test_rejects_size_that_is_not_an_int_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_sim(**{field: value})
+
 
 class TestGeneratePopulation:
-    def test_perfect_correlation_makes_surface_equal_content(self):
-        users, items = generate_population(small_sim(surface_true_correlation=1.0))
-        for item in items:
-            np.testing.assert_array_equal(item.surface, item.true_content)
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_appeal_experience_correlation_is_rho(self, rho):
+        world = generate_population(
+            SimConfig(population=2, catalog=10_000, surface_true_correlation=rho, seed=3)
+        )
+        corr = np.corrcoef(world.appeal.ravel(), world.experience.ravel())[0, 1]
+        assert abs(corr - rho) < 0.05
+
+    def test_perfect_correlation_makes_appeal_equal_experience(self):
+        world = generate_population(small_sim(surface_true_correlation=1.0))
+        np.testing.assert_array_equal(world.appeal, world.experience)
 
     def test_same_seed_identical_population(self):
         config = small_sim(seed=5)
-        users_a, items_a = generate_population(config)
-        users_b, items_b = generate_population(config)
-        for a, b in zip(users_a, users_b):
-            np.testing.assert_array_equal(a.true_affinity, b.true_affinity)
-            assert a.patience == b.patience
-        for a, b in zip(items_a, items_b):
-            np.testing.assert_array_equal(a.surface, b.surface)
-            assert a.duration == b.duration
+        a, b = generate_population(config), generate_population(config)
+        assert (a.user_ids, a.item_ids) == (b.user_ids, b.item_ids)
+        assert (a.patience, a.durations) == (b.patience, b.durations)
+        np.testing.assert_array_equal(a.appeal, b.appeal)
+        np.testing.assert_array_equal(a.experience, b.experience)
 
-    def test_zero_correlation_empirically_uncorrelated(self):
-        config = SimConfig(
-            population=2, catalog=10_000, surface_true_correlation=0.0, seed=3
-        )
-        _, items = generate_population(config)
-        surface = np.array([it.surface for it in items]).ravel()
-        content = np.array([it.true_content for it in items]).ravel()
-        corr = np.corrcoef(surface, content)[0, 1]
-        assert abs(corr) < 0.05
+    def test_shapes_and_python_float_ranges(self):
+        config = small_sim()
+        world = generate_population(config)
+        assert len(world.user_ids) == len(world.patience) == config.population
+        assert len(world.item_ids) == len(world.durations) == config.catalog
+        shape = (config.population, config.catalog)
+        assert world.appeal.shape == world.experience.shape == shape
+        assert all(type(p) is float and 0.65 <= p <= 0.95 for p in world.patience)
+        assert all(type(d) is float and 10.0 <= d <= 600.0 for d in world.durations)
 
-    def test_durations_positive(self):
-        _, items = generate_population(small_sim())
-        assert all(it.duration > 0 for it in items)
-
-    def test_trust_starts_full_and_active(self):
-        users, _ = generate_population(small_sim())
-        assert all(u.trust == 1.0 and u.active for u in users)
+    @pytest.mark.parametrize("matrix", ["appeal", "experience"])
+    def test_ground_truth_is_read_only(self, matrix):
+        world = generate_population(small_sim())
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(world, matrix)[0, 0] = 1.0
 
 
 class TestUserResponse:
     def test_strongly_repellent_item_never_clicked(self):
         config = small_sim()
-        users, items = generate_population(config)
-        user = users[0]
-        item = items[0]
-        # Point the item's surface directly away from the user's taste.
-        hostile = type(item)(
-            item_id=item.item_id,
-            surface=-20.0 * user.true_affinity,
-            true_content=item.true_content,
-            duration=item.duration,
+        # One user and one item whose surface points directly away from
+        # the user's taste.
+        world = Population(
+            user_ids=("u0",),
+            item_ids=("i0",),
+            patience=(0.8,),
+            durations=(120.0,),
+            appeal=np.array([[-20.0]]),
+            experience=np.array([[1.0]]),
         )
         rng = np.random.default_rng(0)
         clicks = sum(
-            respond(user, hostile, rng, t, config).clicked for t in range(2000)
+            user_response(world, 0, 0, rng, t, config).clicked for t in range(2000)
         )
         assert clicks == 0
 
     def test_events_pass_validation_and_schema(self):
         config = small_sim()
-        users, items = generate_population(config)
+        world = generate_population(config)
         rng = np.random.default_rng(1)
         for t in range(500):
-            event = respond(users[t % len(users)], items[t % len(items)], rng, t, config)
+            u, j = t % config.population, t % config.catalog
+            event = user_response(world, u, j, rng, t, config)
+            _check_event(event)
             assert event.platform is Platform.VIDEO
             assert 0.0 <= event.watch_duration <= event.item_duration
             if event.followup_actions:
@@ -166,19 +165,18 @@ class TestUserResponse:
         """With surface == content, a strongly liked item is watched more
         (per impression) than the average random pairing."""
         config = small_sim(surface_true_correlation=1.0, population=50, catalog=200)
-        users, items = generate_population(config)
+        world = generate_population(config)
         rng = np.random.default_rng(2)
         population_ratios = []
         for t in range(10_000):
-            user = users[int(rng.integers(len(users)))]
-            item = items[int(rng.integers(len(items)))]
-            event = respond(user, item, rng, t, config)
+            u = int(rng.integers(config.population))
+            j = int(rng.integers(config.catalog))
+            event = user_response(world, u, j, rng, t, config)
             population_ratios.append(event.watch_duration / event.item_duration)
-        user = users[0]
-        best = max(items, key=lambda it: float(user.true_affinity @ it.true_content))
+        best = int(np.argmax(world.experience[0]))
         liked_ratios = []
         for t in range(10_000):
-            event = respond(user, best, rng, t, config)
+            event = user_response(world, 0, best, rng, t, config)
             liked_ratios.append(event.watch_duration / event.item_duration)
         assert np.mean(liked_ratios) > np.mean(population_ratios) + 0.1
 
@@ -187,45 +185,31 @@ class TestTrustDynamics:
     def config(self, decay=0.1, recovery=0.05):
         return small_sim(trust_decay=decay, trust_recovery=recovery)
 
-    def user(self, trust=1.0):
-        return SimUser(
-            user_id="u0",
-            true_affinity=np.zeros(4),
-            patience=0.8,
-            trust=trust,
-        )
-
     def test_bounds_under_any_sequence(self, rng):
         config = self.config()
-        user = self.user()
+        trust = 1.0
         labels = [Label.POSITIVE, Label.TOLERANCE, Label.NEGATIVE]
         for _ in range(5000):
-            update_trust(user, labels[int(rng.integers(3))], config)
-            assert 0.0 <= user.trust <= 1.0
+            trust = update_trust(trust, labels[int(rng.integers(3))], config)
+            assert 0.0 <= trust <= 1.0
 
     def test_non_increasing_without_recovery(self, rng):
         config = self.config(recovery=0.0)
-        user = self.user()
-        previous = user.trust
+        previous = 1.0
         labels = [Label.POSITIVE, Label.TOLERANCE, Label.NEGATIVE]
         for _ in range(1000):
-            update_trust(user, labels[int(rng.integers(3))], config)
-            assert user.trust <= previous
-            previous = user.trust
+            trust = update_trust(previous, labels[int(rng.integers(3))], config)
+            assert trust <= previous
+            previous = trust
 
     def test_negatives_cost_nothing(self):
-        config = self.config()
-        user = self.user(trust=0.7)
-        update_trust(user, Label.NEGATIVE, config)
-        assert user.trust == 0.7
+        assert update_trust(0.7, Label.NEGATIVE, self.config()) == 0.7
 
     def test_tolerance_then_positive_partial_recovery(self):
         config = self.config(decay=0.5, recovery=0.2)
-        user = self.user()
-        update_trust(user, Label.TOLERANCE, config)
-        assert user.trust == 0.5
-        update_trust(user, Label.POSITIVE, config)
-        assert user.trust == 0.7
+        trust = update_trust(1.0, Label.TOLERANCE, config)
+        assert trust == 0.5
+        assert update_trust(trust, Label.POSITIVE, config) == 0.7
 
 
 class TestReturnCurve:
@@ -254,13 +238,13 @@ class TestSimulateExperiment:
         monkeypatch.setattr(trainer, "_loss", no_loss)
         config = small_sim(seed=1, days=2)
         report = simulate_experiment(train_config(), train_config(), config)
-        assert len(report.rows) == 2 * config.days
+        assert len(report.a) == len(report.b) == config.days
 
     def test_identical_objectives_give_zero_deltas(self):
         config = small_sim(seed=4)
         report = simulate_experiment(train_config(), train_config(), config)
         assert report.average_retention_delta() == 0.0
-        for row_a, row_b in zip(report.arm_rows("A"), report.arm_rows("B")):
+        for row_a, row_b in zip(report.a, report.b):
             assert row_a.retention == row_b.retention
             assert row_a.tolerance_rate == row_b.tolerance_rate
 
@@ -273,7 +257,7 @@ class TestSimulateExperiment:
             train_config(Objective.TOLERANCE_AS_NEGATIVE),
             config,
         )
-        for row_a, row_b in zip(report.arm_rows("A"), report.arm_rows("B")):
+        for row_a, row_b in zip(report.a, report.b):
             assert row_a.retention == row_b.retention
             assert row_a.active_users == row_b.active_users
 
@@ -322,14 +306,15 @@ class TestSimulateExperiment:
                 return super().extend(events)
 
         monkeypatch.setattr(simulation, "CausalLabeler", RecordingLabeler)
+        config = small_sim(seed=8)
         report = simulate_experiment(
             train_config(Objective.STANDARD),
             train_config(Objective.TOLERANCE_AS_WEAK_POSITIVE),
-            small_sim(seed=8),
+            config,
         )
         # One extend call per arm-day: all of arm A's days, then arm B's.
-        rows = report.arm_rows("A") + report.arm_rows("B")
-        assert len(days) == len(rows) == len(report.rows)
+        rows = report.a + report.b
+        assert len(days) == len(rows) == 2 * config.days
         for row, events in zip(rows, days):
             dwell = {}
             for event in events:
@@ -340,18 +325,63 @@ class TestSimulateExperiment:
     @pytest.mark.parametrize("warm_start", [False, True])
     def test_arm_does_not_depend_on_partner_or_position(self, warm_start):
         """An arm's full-precision rows are the same alone, as arm A beside
-        either partner, and as arm B (but for its name)."""
+        either partner, and as arm B."""
         sim = small_sim(seed=5, warm_start=warm_start)
         arm = train_config(Objective.TOLERANCE_AS_WEAK_POSITIVE)
-        alone = simulate_arm("A", arm, sim)
+        alone = simulate_arm(arm, sim)
         assert [row.day for row in alone] == list(range(1, sim.days + 1))
         for partner in (
             train_config(Objective.STANDARD),
             train_config(Objective.TOLERANCE_AS_NEGATIVE, seed=1),
         ):
-            assert simulate_experiment(arm, partner, sim).arm_rows("A") == alone
-            as_b = simulate_experiment(partner, arm, sim).arm_rows("B")
-            assert [replace(row, arm="A") for row in as_b] == alone
+            assert simulate_experiment(arm, partner, sim).a == alone
+            assert simulate_experiment(partner, arm, sim).b == alone
+
+    def test_day_one_has_every_user_active(self):
+        config = small_sim(seed=3, days=1)
+        rows = simulate_arm(train_config(), config)
+        assert rows[0].active_users == config.population
+
+    def test_retention_is_the_share_of_active_users_back_next_day(self, monkeypatch):
+        """A day's active users are those with events that day; its
+        retention is the share of them active again the next day."""
+        days = []
+
+        class RecordingLabeler(CausalLabeler):
+            def extend(self, events):
+                days.append({event.user_id for event in events})
+                return super().extend(events)
+
+        monkeypatch.setattr(simulation, "CausalLabeler", RecordingLabeler)
+        rows = simulate_arm(train_config(), small_sim(seed=8, days=4))
+        assert any(row.retention < 1.0 for row in rows[:-1])
+        for row, today, tomorrow in zip(rows, days, days[1:]):
+            assert len(today) == row.active_users
+            assert row.retention == len(today & tomorrow) / len(today)
+
+    def test_simulated_events_pass_every_event_check(self, monkeypatch):
+        """The simulator builds its events without the constructor's checks,
+        so every event of a paired run must pass them all: the invariants
+        of ``_check_event`` and the constructor's own type checks."""
+        events = []
+
+        class RecordingLabeler(CausalLabeler):
+            def extend(self, day):
+                events.extend(day)
+                return super().extend(day)
+
+        monkeypatch.setattr(simulation, "CausalLabeler", RecordingLabeler)
+        simulate_experiment(
+            train_config(Objective.STANDARD),
+            train_config(Objective.TOLERANCE_AS_NEGATIVE),
+            small_sim(seed=4),
+        )
+        assert events
+        for event in events:
+            _check_event(event)
+            assert 0.0 <= event.watch_duration <= event.item_duration
+            assert type(event.watch_duration) is type(event.item_duration) is float
+            assert replace(event) == event
 
     def test_tolerance_label_on_non_click_fails_loudly(self, monkeypatch):
         """The in-loop fidelity check fires when the labeler marks a
@@ -393,12 +423,12 @@ class TestSimulateExperiment:
         """A day's worth of raw responses satisfies the labeling module's
         ordering contract after the engine's (user, timestamp) sort."""
         config = small_sim(seed=6)
-        users, items = generate_population(config)
+        world = generate_population(config)
         rng = np.random.default_rng(0)
         events = []
-        for slot, item in enumerate(items[:10]):
-            for user in users[:10]:
-                events.append(respond(user, item, rng, 86_400 + slot * 60, config))
+        for slot in range(10):
+            for u in range(10):
+                events.append(user_response(world, u, slot, rng, 86_400 + slot * 60, config))
         events.sort(key=lambda e: (e.user_id, e.timestamp))
         result = label_log(events, LabelingConfig())
         assert len(result.samples) == len(events)
@@ -419,9 +449,10 @@ _SIM_SCRIPT = textwrap.dedent(
         arm(Objective.STANDARD), arm(Objective.TOLERANCE_AS_WEAK_POSITIVE), SimConfig()
     )
     print(json.dumps([
-        [r.day, r.arm, r.active_users, r.retention.hex(), r.dwell_mean.hex(),
+        [arm, r.day, r.active_users, r.retention.hex(), r.dwell_mean.hex(),
          r.impressions, r.tolerance_events]
-        for r in report.rows
+        for arm, rows in (("A", report.a), ("B", report.b))
+        for r in rows
     ]))
     """
 )

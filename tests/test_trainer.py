@@ -345,6 +345,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(seed=seed)
 
+    @pytest.mark.parametrize("field", ["epochs", "dimension", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, True, None])
+    def test_rejects_size_that_is_not_an_int_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
 
 class TestTrain:
     def separable_batch(self):
