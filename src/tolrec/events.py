@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 
@@ -36,6 +37,7 @@ ACTION_VOCABULARY = frozenset(
 _EVENT_KEYS = frozenset(
     {"user", "item", "ts", "platform", "clicked", "watch", "duration", "actions"}
 )
+_EVENT_FIELDS = itemgetter("user", "item", "ts", "platform", "clicked")
 _PLATFORMS = {p.value: p for p in Platform}
 #: Shared by every event without follow-up actions.
 _NO_ACTIONS: frozenset[str] = frozenset()
@@ -55,7 +57,7 @@ class EventValidationError(ValueError):
 
 
 class EventParseError(ValueError):
-    """A line could not be parsed as an event record."""
+    """A line of an event file or a sample file could not be parsed as a record."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
@@ -167,6 +169,31 @@ def _number(record: dict, key: str, line_number: int) -> float | None:
         raise EventParseError(line_number, f"{key} must be a finite number") from None
 
 
+def _read_record(line: str, line_number: int, keys: frozenset, fields: itemgetter) -> tuple:
+    """The checks every record makes, in this order: valid JSON, an object,
+    no key outside ``keys``, each of ``fields`` present, string user and
+    item, integer ts. Returns the record and the values of ``fields``, which
+    start with user, item and ts."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise EventParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+    if type(record) is not dict:
+        raise EventParseError(line_number, "record must be a JSON object")
+    if not record.keys() <= keys:
+        raise EventParseError(line_number, f"unknown keys {sorted(record.keys() - keys)}")
+    try:
+        values = fields(record)
+    except KeyError as exc:
+        raise EventParseError(line_number, f"missing key {exc.args[0]!r}") from None
+    # JSON values have exact builtin types: `type(x) is T` tells bool from int.
+    if type(values[0]) is not str or type(values[1]) is not str:
+        raise EventParseError(line_number, "user and item must be strings")
+    if type(values[2]) is not int:
+        raise EventParseError(line_number, "ts must be an integer")
+    return record, values
+
+
 def parse_event(line: str, line_number: int = 0) -> InteractionEvent:
     """Parse one JSON record into a validated :class:`InteractionEvent`.
 
@@ -175,25 +202,9 @@ def parse_event(line: str, line_number: int = 0) -> InteractionEvent:
     event invariant. Each check runs once; the event is then built
     without running them again.
     """
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise EventParseError(line_number, f"invalid JSON ({exc.msg})") from exc
-    if type(record) is not dict:
-        raise EventParseError(line_number, "record must be a JSON object")
-    if not record.keys() <= _EVENT_KEYS:
-        unknown = sorted(record.keys() - _EVENT_KEYS)
-        raise EventParseError(line_number, f"unknown keys {unknown}")
-    try:
-        user, item, ts = record["user"], record["item"], record["ts"]
-        platform, clicked = record["platform"], record["clicked"]
-    except KeyError as exc:
-        raise EventParseError(line_number, f"missing key {exc.args[0]!r}") from None
-    # JSON values have exact builtin types: `type(x) is T` tells bool from int.
-    if type(user) is not str or type(item) is not str:
-        raise EventParseError(line_number, "user and item must be strings")
-    if type(ts) is not int:
-        raise EventParseError(line_number, "ts must be an integer")
+    record, (user, item, ts, platform, clicked) = _read_record(
+        line, line_number, _EVENT_KEYS, _EVENT_FIELDS
+    )
     if type(clicked) is not bool:
         raise EventParseError(line_number, "clicked must be a boolean")
     try:

@@ -38,48 +38,26 @@ def generate_fixture_events(
         # Coarse steps keep timestamp collisions frequent.
         timestamp = _START + int(rng.integers(_SPAN // 600)) * 600
         if rng.random() < _VIDEO_FRACTION:
+            platform, vocabulary = Platform.VIDEO, _VIDEO_ACTIONS
             duration = float(np.round(np.exp(rng.uniform(np.log(10), np.log(900))), 1))
             clicked = bool(rng.random() < 0.75)
+            watch = 0.0
             if clicked:
-                ratio = float(
-                    np.clip(patience[u] + rng.normal(0.0, 0.25), 0.0, 1.2)
-                )
+                ratio = float(np.clip(patience[u] + rng.normal(0.0, 0.25), 0.0, 1.2))
                 watch = float(np.round(ratio * duration, 2))
-                actions: frozenset[str] = frozenset()
-                if rng.random() < 0.15:
-                    actions = frozenset(
-                        {_VIDEO_ACTIONS[int(rng.integers(len(_VIDEO_ACTIONS)))]}
-                    )
-            else:
-                watch = 0.0
-                actions = frozenset()
-            events.append(
-                InteractionEvent(
-                    user_id=user_id,
-                    item_id=item_id,
-                    timestamp=timestamp,
-                    platform=Platform.VIDEO,
-                    clicked=clicked,
-                    watch_duration=watch,
-                    item_duration=duration,
-                    followup_actions=actions,
-                )
-            )
+            act = clicked and rng.random() < 0.15
         else:
+            platform, vocabulary = Platform.ECOMMERCE, _ECOM_ACTIONS
+            duration = watch = None
             clicked = bool(rng.random() < 0.55)
-            actions = frozenset()
-            if clicked and rng.random() < 0.35:
-                actions = frozenset(
-                    {_ECOM_ACTIONS[int(rng.integers(len(_ECOM_ACTIONS)))]}
-                )
-            events.append(
-                InteractionEvent(
-                    user_id=user_id,
-                    item_id=item_id,
-                    timestamp=timestamp,
-                    platform=Platform.ECOMMERCE,
-                    clicked=clicked,
-                    followup_actions=actions,
-                )
+            act = clicked and rng.random() < 0.35
+        # An action is drawn only after a click, so the draws keep their order.
+        actions = (
+            frozenset({vocabulary[int(rng.integers(len(vocabulary)))]}) if act else frozenset()
+        )
+        events.append(
+            InteractionEvent(
+                user_id, item_id, timestamp, platform, clicked, watch, duration, actions
             )
+        )
     return events

@@ -23,14 +23,14 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-import json
 import math
 
 import numpy as np
 
-from .events import InteractionEvent, Platform
-from .events import _json_number, _json_string, _new, _set
+from .events import EventParseError, InteractionEvent, Platform
+from .events import _json_number, _json_string, _new, _read_record, _set
 
 
 class Label(Enum):
@@ -94,8 +94,12 @@ class LabelingConfig:
         if not isinstance(self.rule_mode, RuleMode):
             raise ValueError(f"rule_mode must be a RuleMode, got {self.rule_mode!r}")
         check_edges("duration_bucket_edges", self.duration_bucket_edges)
+        if type(self.min_history) is not int:
+            raise ValueError(f"min_history must be an integer, got {self.min_history!r}")
         if self.min_history < 1:
             raise ValueError("min_history must be at least 1")
+        if isinstance(self.ratio_cap, bool) or not isinstance(self.ratio_cap, (int, float)):
+            raise ValueError(f"ratio_cap must be a number, got {self.ratio_cap!r}")
         if not self.ratio_cap > 0:
             raise ValueError("ratio_cap must be positive")
         if self.beta_baseline not in ("user", "population"):
@@ -510,6 +514,8 @@ def _global_means(
 
 
 _LABELS = {label.value: label for label in Label}
+_SAMPLE_KEYS = frozenset({"user", "item", "ts", "label", "beta"})
+_SAMPLE_FIELDS = itemgetter("user", "item", "ts", "label")
 
 
 def sample_to_json(sample: LabeledSample) -> str:
@@ -521,38 +527,24 @@ def sample_to_json(sample: LabeledSample) -> str:
     )
 
 
-def _bad_line(line_number: int, message: str) -> ValueError:
-    return ValueError(f"line {line_number}: {message}")
-
-
 def parse_sample(line: str, line_number: int = 0) -> LabeledSample:
     """Parse one sample record, checked once and then built without running
-    :class:`LabeledSample`'s checks again; a rejection names the line."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise _bad_line(line_number, f"invalid JSON ({exc.msg})") from None
-    if type(record) is not dict:
-        raise _bad_line(line_number, "record must be a JSON object")
-    try:
-        user, item, ts, label = record["user"], record["item"], record["ts"], record["label"]
-    except KeyError as exc:
-        raise _bad_line(line_number, f"missing key {exc.args[0]!r}") from None
-    if type(user) is not str or type(item) is not str:
-        raise _bad_line(line_number, "user and item must be strings")
-    if type(ts) is not int:
-        raise _bad_line(line_number, "ts must be an integer")
+    :class:`LabeledSample`'s checks again; a rejection is an
+    :class:`EventParseError` that names the line."""
+    record, (user, item, ts, label) = _read_record(
+        line, line_number, _SAMPLE_KEYS, _SAMPLE_FIELDS
+    )
     kind = _LABELS.get(label) if type(label) is str else None
     if kind is None:
-        raise _bad_line(line_number, f"unknown label {label!r}")
+        raise EventParseError(line_number, f"unknown label {label!r}")
     beta = record.get("beta")
     if kind is Label.TOLERANCE:
         if beta is None:
-            raise _bad_line(line_number, "label 'T' needs a beta")
+            raise EventParseError(line_number, "label 'T' needs a beta")
         if (type(beta) is not float and type(beta) is not int) or not 0.0 <= beta <= 1.0:
-            raise _bad_line(line_number, f"beta {beta!r} outside [0, 1]")
+            raise EventParseError(line_number, f"beta {beta!r} outside [0, 1]")
     elif beta is not None:
-        raise _bad_line(line_number, f"beta given for label {label!r}")
+        raise EventParseError(line_number, f"beta given for label {label!r}")
 
     sample = _new(LabeledSample)
     _set(sample, "user_id", user)

@@ -127,6 +127,10 @@ class SimConfig:
                      "dimension", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("temperature", "surface_true_correlation", "trust_decay", "trust_recovery"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.population < 2 or self.catalog < 1:
             raise ValueError("population must be >= 2 and catalog >= 1")
         if self.days < 1:
@@ -367,9 +371,8 @@ def simulate_arm(config: TrainConfig, sim: SimConfig) -> list[DayArmStats]:
             trust[sample.user_id] = update_trust(trust[sample.user_id], sample.label, sim)
         log.extend(samples)
 
-        if log:
-            init = model if sim.warm_start else None
-            model = train(log, config, init_model=init, history=False).model
+        init = model if sim.warm_start else None
+        model = train(log, config, init_model=init, history=False).model
 
         dwell: dict[str, float] = {world.user_ids[u]: 0.0 for u in active}
         for event in events:

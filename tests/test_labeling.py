@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tolrec.events import InteractionEvent, Platform
+from tolrec.events import EventParseError, InteractionEvent, Platform
 from tolrec.fixtures import generate_fixture_events
 from tolrec.labeling import (
     BucketStats,
@@ -130,6 +130,19 @@ class TestLabelingConfig:
 
     def test_accepts_infinite_ratio_cap(self):
         assert LabelingConfig(ratio_cap=float("inf")).ratio_cap == float("inf")
+
+    @pytest.mark.parametrize("cap", [True, "1", None])
+    def test_rejects_ratio_cap_that_is_not_a_number_by_name(self, cap):
+        with pytest.raises(ValueError, match="ratio_cap must be a number"):
+            LabelingConfig(ratio_cap=cap)
+
+    @pytest.mark.parametrize("min_history", [2.5, 5.0, True, "5", None])
+    def test_rejects_min_history_that_is_not_an_int_by_name(self, min_history):
+        with pytest.raises(ValueError, match="min_history must be an integer"):
+            LabelingConfig(min_history=min_history)
+
+    def test_accepts_numpy_float_ratio_cap(self):
+        assert LabelingConfig(ratio_cap=np.float64(1.5)).ratio_cap == 1.5
 
 
 class TestWatchRatio:
@@ -668,12 +681,19 @@ class TestSampleSerialization:
             ),
             ('{"user":"u1"', "line 3: invalid JSON"),
             ('["u1","i1",5,"P"]', "line 3: record must be a JSON object"),
+            (
+                '{"user":"u1","item":"i1","ts":5,"label":"P","bta":0.5}',
+                "line 3: unknown keys ['bta']",
+            ),
+            # As in an event file, an unknown key is named before a missing one.
+            ('{"user":"u1","item":"i1","ts":5,"bta":0.5}', "line 3: unknown keys ['bta']"),
         ],
     )
     def test_read_rejects_naming_line(self, tmp_path, record, message):
         good = sample_to_json(LabeledSample("u1", "i1", 1, Label.NEGATIVE))
         path = tmp_path / "samples.jsonl"
         path.write_text(f"{good}\n\n{record}\n{good}\n")
-        with pytest.raises(ValueError) as caught:
+        with pytest.raises(EventParseError) as caught:
             read_samples(path)
         assert str(caught.value).startswith(message)
+        assert caught.value.line_number == 3

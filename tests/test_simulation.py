@@ -83,6 +83,18 @@ class TestSimConfig:
             small_sim(seed=seed)
 
     @pytest.mark.parametrize(
+        "field", ["temperature", "surface_true_correlation", "trust_decay", "trust_recovery"]
+    )
+    @pytest.mark.parametrize("value", [True, "0", None])
+    def test_rejects_rate_that_is_not_a_number_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            small_sim(**{field: value})
+
+    def test_accepts_numpy_float_rates(self):
+        config = small_sim(temperature=np.float64(2.0), trust_recovery=np.float64(0.0))
+        assert (config.temperature, config.trust_recovery) == (2.0, 0.0)
+
+    @pytest.mark.parametrize(
         "field", ["population", "catalog", "days", "slate_size", "candidate_pool", "dimension"]
     )
     @pytest.mark.parametrize("value", [2.5, True, None])

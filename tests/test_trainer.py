@@ -345,6 +345,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(seed=seed)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "l2", "fixed_beta"])
+    @pytest.mark.parametrize("value", [True, "0", [0.5]])
+    def test_rejects_rate_that_is_not_a_number_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            TrainConfig(**{field: value})
+
+    def test_accepts_numpy_floats_and_no_fixed_beta(self):
+        config = TrainConfig(learning_rate=np.float64(0.1), l2=np.float64(0), fixed_beta=None)
+        assert (config.learning_rate, config.l2, config.fixed_beta) == (0.1, 0.0, None)
+        assert TrainConfig(fixed_beta=np.float64(0.5)).fixed_beta == 0.5
+
     @pytest.mark.parametrize("field", ["epochs", "dimension", "batch_size"])
     @pytest.mark.parametrize("value", [2.5, True, None])
     def test_rejects_size_that_is_not_an_int_by_name(self, field, value):
