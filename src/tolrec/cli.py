@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .cohort import COHORT_HEADER, CohortConfig, analyze, write_plot_data, write_report
-from .events import InteractionEvent, Platform, TimeWindow, ingest_log
+from .events import InteractionEvent, Platform, TimeWindow, _type_test, ingest_log
 from .labeling import (
     LabelingConfig,
     LabelingMode,
@@ -238,15 +238,10 @@ def _check_config_value(name: str, value, default, kind) -> None:
     """Reject a config-file value that the option's flag would not accept.
     The value is checked, not converted, so a valid file resolves as it
     always did."""
-    if value is None:
-        valid = default is None
-    elif isinstance(kind, list):
+    if isinstance(kind, list):
         valid = value in kind
-    else:
-        # JSON true/false load as bools, which Python counts as ints; only
-        # a switch takes one.
-        types = (int, float) if kind is float else kind
-        valid = isinstance(value, types) and isinstance(value, bool) == (kind is bool)
+    else:  # the constructors' rule: a bool only for a switch, null for a null default
+        valid = _type_test(kind if default is not None else kind | None)[0](value)
     if not valid:
         expected = f"one of {kind}" if isinstance(kind, list) else kind.__name__
         raise ValueError(f"config file: {name} must be {expected}, got {value!r}")

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
-from .events import InteractionEvent, Platform, TimeWindow
+from .events import InteractionEvent, Platform, TimeWindow, _check_types
 from .labeling import (
     ECOMMERCE_POSITIVE_ACTIONS, LabelingConfig, check_edges, watch_ratio
 )
@@ -42,8 +42,7 @@ class CohortConfig:
     min_watch_seconds: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.platform, Platform):
-            raise ValueError(f"platform must be a Platform, got {self.platform!r}")
+        _check_types(self)
         if not self.min_watch_seconds >= 0:
             raise ValueError("min_watch_seconds must be non-negative")
         if self.reference.end > self.investigation.start:

@@ -18,10 +18,12 @@ surfaces early.
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
 from operator import itemgetter
 from pathlib import Path
+from types import UnionType
 
 
 class Platform(Enum):
@@ -41,15 +43,60 @@ _EVENT_FIELDS = itemgetter("user", "item", "ts", "platform", "clicked")
 _PLATFORMS = {p.value: p for p in Platform}
 #: Shared by every event without follow-up actions.
 _NO_ACTIONS: frozenset[str] = frozenset()
-#: Duration types the constructor accepts, ``bool`` aside.
-_DURATION_TYPES = (int, float, type(None))
 # Build a frozen dataclass instance field by field, without its checks.
 _new = object.__new__
 _set = object.__setattr__
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool))
+
+
+#: (test, words for messages) of each annotation that is not a class or ``X | None``.
+_KNOWN_TYPES = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a number"),
+    bool: (bool.__instancecheck__, "a boolean"),
+    str: (str.__instancecheck__, "a string"),
+    tuple[float, ...]: (lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
+                        "a tuple of numbers"),
+    frozenset[str]: (lambda v: isinstance(v, frozenset) and all(map(str.__instancecheck__, v)),
+                     "a set of strings"),
+}
+
+
+def _type_test(kind) -> tuple:
+    """The test of a value against the annotation ``kind`` and the words naming the type.
+    Only ``bool`` admits a bool; ``T.__instancecheck__(v)`` is ``isinstance(v, T)``."""
+    if kind in _KNOWN_TYPES:
+        return _KNOWN_TYPES[kind]
+    if isinstance(kind, UnionType) and kind.__args__[1:] == (type(None),):
+        test, what = _type_test(kind.__args__[0])
+        return (lambda v: v is None or test(v)), what
+    if isinstance(kind, type):  # a class: an enum, a window
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        return kind.__instancecheck__, f"{article} {kind.__name__}"
+    raise TypeError(f"no type rule for the annotation {kind!r}")
+
+
+# Built once per class from the field annotations. No module may use
+# `from __future__ import annotations`, which makes every annotation a string.
+@cache
+def _field_tests(cls) -> tuple:
+    return tuple((f.name, *_type_test(f.type)) for f in fields(cls))
+
+
+def _check_types(instance, error=None) -> None:
+    """Raise for the first field of ``instance`` that its annotation does not
+    admit: ``error(name, "must be <type>")``, or a ValueError naming the value."""
+    for name, test, what in _field_tests(type(instance)):
+        if not test(value := getattr(instance, name)):
+            raise (error(name, f"must be {what}") if error
+                   else ValueError(f"{name} must be {what}, got {value!r}"))
+
+
 class EventValidationError(ValueError):
-    """An event violates a type invariant; ``field`` names the offender."""
+    """An event violates an invariant; ``field_name`` names the offender."""
 
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
@@ -86,30 +133,17 @@ class InteractionEvent:
     followup_actions: frozenset[str] = _NO_ACTIONS
 
     def __post_init__(self):
-        # Type checks that parse_event makes on the raw record instead.
-        for name in ("watch_duration", "item_duration"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, _DURATION_TYPES):
-                raise EventValidationError(name, "must be a number")
-        actions = self.followup_actions
-        # `actions and` spares the usual empty set a generator.
-        if not isinstance(actions, frozenset) or (
-            actions and not all(type(a) is str for a in actions)
-        ):
-            raise EventValidationError("followup_actions", "must be a set of strings")
-        ts = self.timestamp
-        _check_event(self, not isinstance(ts, bool) and isinstance(ts, int))
+        _check_types(self, EventValidationError)
+        _check_event(self)
 
 
-def _check_event(event: InteractionEvent, timestamp_is_int: bool = True) -> None:
+def _check_event(event: InteractionEvent) -> None:
     """Raise :class:`EventValidationError` for the first broken invariant: the
     checks of the public constructor and of :func:`parse_event` alike."""
     if not event.user_id:
         raise EventValidationError("user_id", "must be a nonempty string")
     if not event.item_id:
         raise EventValidationError("item_id", "must be a nonempty string")
-    if not timestamp_is_int:
-        raise EventValidationError("timestamp", "must be an integer")
     watch, duration = event.watch_duration, event.item_duration
     if event.platform is Platform.VIDEO:
         if watch is None:
@@ -150,6 +184,7 @@ class TimeWindow:
     end: int
 
     def __post_init__(self):
+        _check_types(self)
         if self.start >= self.end:
             raise ValueError(f"window start {self.start} must precede end {self.end}")
 
@@ -295,10 +330,11 @@ def ingest_log(path: str | Path) -> IngestResult:
                 rejected.append((number, str(exc)))
 
     if len(rejected) > len(events):
+        number, message = rejected[0]  # a parse error's message names its line
         raise LogFormatError(
             f"{len(rejected)} of {len(events) + len(rejected)} lines rejected; "
             f"this does not look like an event log (first: "
-            f"line {rejected[0][0]}: {rejected[0][1]})"
+            f"line {number}: {message.removeprefix(f'line {number}: ')})"
         )
 
     events.sort(key=lambda e: (e.user_id, e.timestamp))

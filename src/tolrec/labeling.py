@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .events import EventParseError, InteractionEvent, Platform
-from .events import _json_number, _json_string, _new, _read_record, _set
+from .events import _check_types, _json_number, _json_string, _new, _read_record, _set
 
 
 class Label(Enum):
@@ -91,15 +91,10 @@ class LabelingConfig:
     beta_baseline: str = "user"
 
     def __post_init__(self):
-        if not isinstance(self.rule_mode, RuleMode):
-            raise ValueError(f"rule_mode must be a RuleMode, got {self.rule_mode!r}")
+        _check_types(self)
         check_edges("duration_bucket_edges", self.duration_bucket_edges)
-        if type(self.min_history) is not int:
-            raise ValueError(f"min_history must be an integer, got {self.min_history!r}")
         if self.min_history < 1:
             raise ValueError("min_history must be at least 1")
-        if isinstance(self.ratio_cap, bool) or not isinstance(self.ratio_cap, (int, float)):
-            raise ValueError(f"ratio_cap must be a number, got {self.ratio_cap!r}")
         if not self.ratio_cap > 0:
             raise ValueError("ratio_cap must be positive")
         if self.beta_baseline not in ("user", "population"):
@@ -135,6 +130,7 @@ class LabeledSample:
     beta: float | None = None
 
     def __post_init__(self):
+        _check_types(self)
         if (self.beta is not None) != (self.label is Label.TOLERANCE):
             raise ValueError("beta must be present iff label is TOLERANCE")
         if self.beta is not None and not 0.0 <= self.beta <= 1.0:

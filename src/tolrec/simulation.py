@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import _NO_ACTIONS, InteractionEvent, Platform, _new, _set
+from .events import _NO_ACTIONS, InteractionEvent, Platform, _check_types, _new, _set
 from .labeling import (
     CausalLabeler,
     Label,
@@ -121,16 +121,7 @@ class SimConfig:
     rule_mode: RuleMode = RuleMode.RATIO_OR_ACTION
 
     def __post_init__(self):
-        if not isinstance(self.rule_mode, RuleMode):
-            raise ValueError(f"rule_mode must be a RuleMode, got {self.rule_mode!r}")
-        for name in ("population", "catalog", "days", "slate_size", "candidate_pool",
-                     "dimension", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("temperature", "surface_true_correlation", "trust_decay", "trust_recovery"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        _check_types(self)
         if self.population < 2 or self.catalog < 1:
             raise ValueError("population must be >= 2 and catalog >= 1")
         if self.days < 1:

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .events import _check_types
 from .labeling import _LABEL_CODES, _POSITIVE, _TOLERANCE, Label, LabeledSample
 
 
@@ -58,16 +59,7 @@ class TrainConfig:
     batch_size: int = 256
 
     def __post_init__(self):
-        if not isinstance(self.objective, Objective):
-            raise ValueError(f"objective must be an Objective, got {self.objective!r}")
-        for name in ("epochs", "dimension", "batch_size", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        optional = () if self.fixed_beta is None else ("fixed_beta",)
-        for name in ("learning_rate", "l2", *optional):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        _check_types(self)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.dimension < 1 or self.batch_size < 1:

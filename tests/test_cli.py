@@ -143,10 +143,11 @@ class TestConfigFile:
             ("label", {"command": "train", "config": "other.json"}, ["command", "config"]),
             ("label", {"min_history": True}, ["min_history"]),
             ("label", {"threads": None}, ["threads"]),
+            ("label", ["mode"], ["error: config file must hold a JSON object"]),
         ],
         ids=[
             "mode-typo", "warm_start-string", "threads-string", "min_history-float",
-            "command-config-keys", "min_history-bool", "threads-null",
+            "command-config-keys", "min_history-bool", "threads-null", "json-array",
         ],
     )
     def test_bad_value_fails_naming_key(
@@ -322,6 +323,37 @@ class TestTrainCommand:
         assert not model.exists()
         assert not (tmp_path / "model.txt.history.csv").exists()
 
+
+    def test_failed_sidecar_removes_written_model(self, tmp_path, event_file, capsys):
+        samples = tmp_path / "samples.jsonl"
+        model = tmp_path / "model.txt"
+        assert run("label", "--events", event_file, "--out", samples) == 0
+        history = tmp_path / "missing" / "h.csv"
+        assert run(
+            "train", "--samples", samples, "--out", model, "--history-out", history,
+            "--epochs", "1",
+        ) == 1
+        assert "h.csv" in capsys.readouterr().err
+        assert not model.exists()
+        assert not (tmp_path / "model.txt.manifest.json").exists()
+
+    def test_negative_sampling_writes_model_and_notes_count(
+        self, tmp_path, event_file, capsys
+    ):
+        samples = tmp_path / "samples.jsonl"
+        model = tmp_path / "model.txt"
+        assert run("label", "--events", event_file, "--out", samples) == 0
+        capsys.readouterr()
+        assert run(
+            "train", "--samples", samples, "--out", model, "--neg-sample", "1",
+            "--epochs", "1",
+        ) == 0
+        assert model.exists()
+        manifest = json.loads((tmp_path / "model.txt.manifest.json").read_text())
+        assert manifest["config"]["neg_sample"] == 1
+        positives = sum('"label":"P"' in line for line in samples.read_text().splitlines())
+        added = int(capsys.readouterr().err.split("negative sampling added ")[1].split()[0])
+        assert added == positives > 0  # each user has unseen items left
 
     @pytest.mark.parametrize(
         "record, message",

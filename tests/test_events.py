@@ -1,7 +1,9 @@
 import json
+from dataclasses import fields, replace
 
 import pytest
 
+from tolrec.cohort import CohortConfig
 from tolrec.events import (
     EventParseError,
     EventValidationError,
@@ -14,6 +16,10 @@ from tolrec.events import (
     parse_event,
     write_events,
 )
+
+from tolrec.labeling import Label, LabeledSample, LabelingConfig
+from tolrec.simulation import SimConfig
+from tolrec.trainer import TrainConfig
 
 from conftest import random_event_log
 
@@ -247,6 +253,29 @@ def test_ingest_aborts_on_format_mismatch(tmp_path):
         ingest_log(path)
 
 
+@pytest.mark.parametrize(
+    "first, text",
+    [
+        ("nope", "line 1: invalid JSON (Expecting value)"),
+        (
+            '{"user":"u1","item":"v1","ts":1,"platform":"video","clicked":true,'
+            '"watch":-1,"duration":10}',
+            "line 1: watch_duration: must be non-negative",
+        ),
+    ],
+    ids=["parse-error", "validation-error"],
+)
+def test_format_error_names_first_line_once(tmp_path, first, text):
+    path = tmp_path / "bogus.jsonl"
+    good = event_to_json(InteractionEvent("u1", "i1", 1, Platform.ECOMMERCE, False))
+    path.write_text(f"{first}\nnope\n{good}\n")
+    with pytest.raises(LogFormatError) as error:
+        ingest_log(path)
+    assert str(error.value) == (
+        f"2 of 3 lines rejected; this does not look like an event log (first: {text})"
+    )
+
+
 def test_ingest_tolerates_exactly_half_rejects(tmp_path):
     path = tmp_path / "half.jsonl"
     good = event_to_json(InteractionEvent("u1", "i1", 1, Platform.ECOMMERCE, False))
@@ -292,3 +321,74 @@ def test_serialized_form_uses_schema_keys(rng):
             "duration",
             "actions",
         }
+
+
+#: A valid instance of every class whose constructor applies the type rule.
+TYPED_INSTANCES = [
+    InteractionEvent("u1", "v1", 1, Platform.VIDEO, True, 3.0, 10.0, frozenset({"like"})),
+    TimeWindow(0, 10),
+    LabeledSample("u1", "i1", 1, Label.TOLERANCE, 0.5),
+    LabelingConfig(),
+    TrainConfig(fixed_beta=0.5),
+    SimConfig(),
+    CohortConfig(TimeWindow(0, 10), TimeWindow(10, 20), Platform.VIDEO),
+]
+
+
+@pytest.mark.parametrize(
+    "instance, name",
+    [(instance, f.name) for instance in TYPED_INSTANCES for f in fields(instance)],
+    ids=[f"{type(i).__name__}.{f.name}" for i in TYPED_INSTANCES for f in fields(i)],
+)
+def test_no_field_escapes_the_type_rule(instance, name):
+    """Every field, a later one too, rejects a value of no type it names."""
+    error = EventValidationError if type(instance) is InteractionEvent else ValueError
+    with pytest.raises(error, match=f"^{name}:? must be ") as caught:
+        replace(instance, **{name: object()})
+    if error is EventValidationError:
+        assert caught.value.field_name == name
+
+
+@pytest.mark.parametrize(
+    "instance, changes, message",
+    [
+        (SimConfig(), {"warm_start": "no"}, "warm_start must be a boolean, got 'no'"),
+        (SimConfig(), {"warm_start": 1}, "warm_start must be a boolean, got 1"),
+        (TYPED_INSTANCES[0], {"user_id": 5}, "user_id: must be a string"),
+        (TYPED_INSTANCES[0], {"item_id": 5}, "item_id: must be a string"),
+        (TYPED_INSTANCES[0], {"platform": "video"}, "platform: must be a Platform"),
+        (TYPED_INSTANCES[0], {"clicked": 1}, "clicked: must be a boolean"),
+        (TYPED_INSTANCES[1], {"start": 0.5, "end": 2.5}, "start must be an integer, got 0.5"),
+        (TYPED_INSTANCES[2], {"label": "P", "beta": None}, "label must be a Label, got 'P'"),
+        (TYPED_INSTANCES[2], {"beta": "0.5"}, "beta must be a number, got '0.5'"),
+        (
+            LabelingConfig(),
+            {"duration_bucket_edges": (True, 5.0)},
+            "duration_bucket_edges must be a tuple of numbers, got (True, 5.0)",
+        ),
+        (
+            LabelingConfig(),
+            {"duration_bucket_edges": ("a",)},
+            "duration_bucket_edges must be a tuple of numbers, got ('a',)",
+        ),
+        (
+            LabelingConfig(),
+            {"duration_bucket_edges": [60.0, 300.0]},
+            "duration_bucket_edges must be a tuple of numbers, got [60.0, 300.0]",
+        ),
+        (
+            TYPED_INSTANCES[6],
+            {"min_watch_seconds": "1"},
+            "min_watch_seconds must be a number, got '1'",
+        ),
+    ],
+    ids=[
+        "warm_start-str", "warm_start-int", "user_id-int", "item_id-int", "platform-str",
+        "clicked-int", "start-float", "label-str", "beta-str", "edges-bool", "edges-str",
+        "edges-list", "min_watch_seconds-str",
+    ],
+)
+def test_mistyped_value_fails_by_name(instance, changes, message):
+    with pytest.raises(ValueError) as error:
+        replace(instance, **changes)
+    assert str(error.value) == message

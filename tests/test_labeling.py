@@ -145,6 +145,28 @@ class TestLabelingConfig:
         assert LabelingConfig(ratio_cap=np.float64(1.5)).ratio_cap == 1.5
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: label_log(
+                [video_event(user="u2", ts=1), video_event(user="u1", ts=2)], LabelingConfig()
+            ),
+            r"events must be sorted by \(user_id, timestamp\)",
+            id="later-user-sorts-first",
+        ),
+        pytest.param(
+            lambda: LabelingConfig(beta_baseline="x"),
+            "beta_baseline must be 'user' or 'population'",
+            id="beta-baseline",
+        ),
+    ],
+)
+def test_bad_input_fails_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestWatchRatio:
     def test_direct_ratio(self):
         assert watch_ratio(video_event(watch=5, duration=10)) == 0.5

@@ -103,6 +103,22 @@ class TestSimConfig:
             small_sim(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param({"population": 1}, "population must be >= 2 and catalog >= 1",
+                     id="population-1"),
+        pytest.param({"slate_size": 16}, "slate_size cannot exceed candidate_pool",
+                     id="slate-over-pool"),
+        pytest.param({"candidate_pool": 61}, "candidate_pool cannot exceed catalog",
+                     id="pool-over-catalog"),
+    ],
+)
+def test_bad_config_fails_with_its_message(overrides, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        small_sim(**overrides)
+
+
 class TestGeneratePopulation:
     @pytest.mark.parametrize("rho", [0.0, 0.3])
     def test_appeal_experience_correlation_is_rho(self, rho):

@@ -363,6 +363,45 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        *(
+            pytest.param(
+                lambda field=field: TrainConfig(**{field: 0}),
+                "epochs, dimension, and batch_size must be positive",
+                id=f"{field}-0",
+            )
+            for field in ("epochs", "dimension", "batch_size")
+        ),
+        pytest.param(
+            lambda: train(
+                [sample("u1", "i1", Label.POSITIVE)],
+                TrainConfig(dimension=4),
+                init_model=RankingModel.initialize(["u1"], ["i1"], 8, np.random.default_rng(0)),
+            ),
+            "init_model dimension does not match config",
+            id="init-model-dimension",
+        ),
+        pytest.param(
+            lambda: loss(RankingModel.initialize([], [], 4, np.random.default_rng(0)), [],
+                         TrainConfig()),
+            "sample collection must be nonempty",
+            id="loss-empty",
+        ),
+        pytest.param(
+            lambda: gradient(RankingModel.initialize([], [], 4, np.random.default_rng(0)), [],
+                             TrainConfig()),
+            "sample collection must be nonempty",
+            id="gradient-empty",
+        ),
+    ],
+)
+def test_bad_input_fails_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestTrain:
     def separable_batch(self):
         return [
