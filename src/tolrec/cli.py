@@ -66,9 +66,7 @@ def parse_window(text: str) -> TimeWindow:
 
 
 def _parse_edges(text: str) -> tuple[float, ...]:
-    if not text:
-        return ()
-    return tuple(float(part) for part in text.split(","))
+    return tuple(float(part) for part in text.split(",")) if text else ()
 
 
 def _parse_beta(text: str) -> float | None:
@@ -87,7 +85,7 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path: str, command: str, resolved: dict, outputs: list[str]) -> None:
+def _write_manifest(path: str, command: str, resolved: dict) -> None:
     inputs = [resolved[name] for name in _INPUTS if resolved.get(name)]
     manifest = {
         "command": command,
@@ -96,11 +94,12 @@ def _write_manifest(out_path: str, command: str, resolved: dict, outputs: list[s
         "version": __version__,
         "seed": resolved.get("seed"),
     }
-    path = out_path + ".manifest.json"
-    outputs.append(path)
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _choices(enum) -> list[str]:
@@ -235,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_config_value(name: str, value, default, kind) -> None:
-    """Reject a config-file value that the option's flag would not accept.
-    The value is checked, not converted, so a valid file resolves as it
-    always did."""
+    """Reject a config-file value that the option's flag would not accept,
+    an int beyond the float range included. The value is checked, not
+    converted, so a valid file resolves as it always did."""
     if isinstance(kind, list):
         valid = value in kind
     else:  # the constructors' rule: a bool only for a switch, null for a null default
@@ -245,6 +244,8 @@ def _check_config_value(name: str, value, default, kind) -> None:
     if not valid:
         expected = f"one of {kind}" if isinstance(kind, list) else kind.__name__
         raise ValueError(f"config file: {name} must be {expected}, got {value!r}")
+    if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"config file: {name} must be a float, got an int beyond its range")
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -275,22 +276,35 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
+def _outputs(resolved: dict) -> dict[str, str]:
+    """Every file the command writes, by output name, in the order written."""
+    paths = {name: resolved[name] for name in ("out", *_SIDECARS) if name in resolved}
+    return paths | {"manifest": resolved["out"] + ".manifest.json"}
+
+
 def _check_paths(resolved: dict, config: str | None) -> None:
     """Reject a run in which an output names the same file as an input or
     another output, before any file is read or written."""
-    paths = {"config": config, **resolved, "manifest": resolved["out"] + ".manifest.json"}
-    seen = {os.path.realpath(paths[n]): n for n in ("config", *_INPUTS) if paths.get(n)}
-    for name in ("out", *_SIDECARS, "manifest"):
-        if name in paths:
-            other = seen.setdefault(os.path.realpath(paths[name]), name)
-            if other != name:
-                raise ValueError(f"{name} and {other} name the same file {paths[name]!r}")
+    inputs = {"config": config} | {name: resolved.get(name) for name in _INPUTS}
+    seen = {os.path.realpath(path): name for name, path in inputs.items() if path}
+    for name, path in _outputs(resolved).items():
+        other = seen.setdefault(os.path.realpath(path), name)
+        if other != name:
+            raise ValueError(f"{name} and {other} name the same file {path!r}")
+
+
+def _parsed(resolved: dict, name: str, parse):
+    """``parse(resolved[name])``, a failure named by its option."""
+    try:
+        return parse(resolved[name])
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _labeling_config(resolved: dict) -> LabelingConfig:
     return LabelingConfig(
         rule_mode=RuleMode(resolved["rule"]),
-        duration_bucket_edges=_parse_edges(resolved["buckets"]),
+        duration_bucket_edges=_parsed(resolved, "buckets", _parse_edges),
         min_history=resolved["min_history"],
         ratio_cap=resolved["ratio_cap"],
         beta_baseline=resolved["beta_baseline"],
@@ -305,7 +319,7 @@ def _train_config(resolved: dict, objective: str, seed: int) -> TrainConfig:
         dimension=resolved["dim"],
         l2=resolved["l2"],
         seed=seed,
-        fixed_beta=_parse_beta(resolved["beta"]),
+        fixed_beta=_parsed(resolved, "beta", _parse_beta),
         batch_size=resolved["batch_size"],
     )
 
@@ -315,26 +329,22 @@ def _ingest(resolved: dict) -> list[InteractionEvent]:
         raise ValueError("threads must be 1 (ingest is serial)")
     result = ingest_log(resolved["events"])
     if result.rejected_count:
-        print(
-            f"note: rejected {result.rejected_count} malformed lines",
-            file=sys.stderr,
-        )
+        print(f"note: rejected {result.rejected_count} malformed lines "
+              f"(first: {result.first_rejection})", file=sys.stderr)
     return result.events
 
 
-def _cmd_label(resolved: dict, outputs: list[str]) -> None:
+def _cmd_label(resolved: dict) -> dict:
     config = _labeling_config(resolved)
     mode = LabelingMode(resolved["mode"])
     labeled = label_log(_ingest(resolved), config, mode)
-    out = resolved["out"]
-    outputs.append(out)
-    write_samples(out, labeled.samples)
-    outputs.append(resolved["profiles_out"])
-    write_profiles(resolved["profiles_out"], labeled.profiles)
-    _write_manifest(out, "label", resolved, outputs)
+    return {
+        "out": (write_samples, labeled.samples),
+        "profiles_out": (write_profiles, labeled.profiles),
+    }
 
 
-def _cmd_train(resolved: dict, outputs: list[str]) -> None:
+def _cmd_train(resolved: dict) -> dict:
     config = _train_config(resolved, resolved["objective"], resolved["seed"])
     if resolved["neg_sample"] < 0:
         raise ValueError(f"neg_sample must be non-negative, got {resolved['neg_sample']}")
@@ -345,40 +355,30 @@ def _cmd_train(resolved: dict, outputs: list[str]) -> None:
         samples = augment_with_sampled_negatives(
             samples, resolved["neg_sample"], catalog, seed=resolved["seed"]
         )
-        print(
-            f"note: negative sampling added {len(samples) - before} samples",
-            file=sys.stderr,
-        )
+        print(f"note: negative sampling added {len(samples) - before} samples", file=sys.stderr)
     result = train(samples, config)
-    out = resolved["out"]
-    outputs.append(out)
-    write_model(out, result.model)
-    outputs.append(resolved["history_out"])
-    write_history(resolved["history_out"], result.history, config.objective)
-    _write_manifest(out, "train", resolved, outputs)
+    return {
+        "out": (write_model, result.model),
+        "history_out": (write_history, result.history, config.objective),
+    }
 
 
-def _cmd_analyze(resolved: dict, outputs: list[str]) -> None:
+def _cmd_analyze(resolved: dict) -> dict:
     config = CohortConfig(
-        reference=parse_window(resolved["ref"]),
-        investigation=parse_window(resolved["inv"]),
+        reference=_parsed(resolved, "ref", parse_window),
+        investigation=_parsed(resolved, "inv", parse_window),
         platform=Platform(resolved["platform"]),
-        bucket_edges=_parse_edges(resolved["buckets"]),
+        bucket_edges=_parsed(resolved, "buckets", _parse_edges),
         min_watch_seconds=resolved["min_watch_seconds"],
     )
     labeling = LabelingConfig(ratio_cap=resolved["ratio_cap"])
     report = analyze(_ingest(resolved), config, labeling)
     if report.empty:
         print("warning: no users with reference-window engagement", file=sys.stderr)
-    out = resolved["out"]
-    outputs.append(out)
-    write_report(out, report)
-    outputs.append(resolved["plot_out"])
-    write_plot_data(resolved["plot_out"], report)
-    _write_manifest(out, "analyze", resolved, outputs)
+    return {"out": (write_report, report), "plot_out": (write_plot_data, report)}
 
 
-def _cmd_simulate(resolved: dict, outputs: list[str]) -> None:
+def _cmd_simulate(resolved: dict) -> dict:
     if resolved["seeds"] < 1:
         raise ValueError(f"seeds must be >= 1, got {resolved['seeds']}")
     runs = []
@@ -404,10 +404,7 @@ def _cmd_simulate(resolved: dict, outputs: list[str]) -> None:
             config,
         )
         runs.append((seed, report))
-    out = resolved["out"]
-    outputs.append(out)
-    write_daily_report(out, runs)
-    _write_manifest(out, "simulate", resolved, outputs)
+    return {"out": (write_daily_report, runs)}
 
 
 #: ``report`` option -> (section tag, headers it accepts, what its file is).
@@ -422,7 +419,7 @@ _REPORT_SECTIONS = {
 }
 
 
-def _cmd_report(resolved: dict, outputs: list[str]) -> None:
+def _cmd_report(resolved: dict) -> dict:
     """Copy each input's header and rows, `#` comments skipped, under its
     section tag; the cohort section ends with its user counts."""
     sections = []
@@ -445,15 +442,12 @@ def _cmd_report(resolved: dict, outputs: list[str]) -> None:
         sections.append("\n".join(section))
     if not sections:
         raise ValueError("report needs at least one of --analyze/--simulate/--train-history")
-    out = resolved["out"]
-    outputs.append(out)
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(f"tolrec {__version__} run summary\n\n")
-        handle.write("\n\n".join(sections))
-        handle.write("\n")
-    _write_manifest(out, "report", resolved, outputs)
+    summary = f"tolrec {__version__} run summary\n\n" + "\n\n".join(sections) + "\n"
+    return {"out": (_write_text, summary)}
 
 
+#: Each handler computes its command's result and returns
+#: ``{output name: (writer, *data)}``; ``main`` writes every output.
 _HANDLERS = {
     "label": _cmd_label,
     "train": _cmd_train,
@@ -466,13 +460,19 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    outputs: list[str] = []
+    written: list[str] = []
     try:
         resolved = _resolve(args)
         _check_paths(resolved, args.config)
-        _HANDLERS[args.command](resolved, outputs)
+        writes = _HANDLERS[args.command](resolved)
+        writes["manifest"] = (_write_manifest, args.command, resolved)
+        # Each path is registered before its write, so a failed run leaves none.
+        for name, path in _outputs(resolved).items():
+            write, *data = writes[name]
+            written.append(path)
+            write(path, *data)
     except Exception as exc:  # noqa: BLE001 - single CLI failure funnel
-        for path in outputs:
+        for path in written:
             try:
                 Path(path).unlink(missing_ok=True)
             except OSError:

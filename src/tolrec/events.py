@@ -307,6 +307,12 @@ class IngestResult:
     def rejected_count(self) -> int:
         return len(self.rejected)
 
+    @property
+    def first_rejection(self) -> str:
+        """``line K: reason`` for the first rejected line, naming it once."""
+        number, message = self.rejected[0]  # a parse error's message names its line
+        return f"line {number}: {message.removeprefix(f'line {number}: ')}"
+
 
 def ingest_log(path: str | Path) -> IngestResult:
     """Read an event file, tolerating out-of-order and malformed lines.
@@ -329,16 +335,15 @@ def ingest_log(path: str | Path) -> IngestResult:
             except (EventParseError, EventValidationError) as exc:
                 rejected.append((number, str(exc)))
 
+    result = IngestResult(events=events, rejected=rejected)
     if len(rejected) > len(events):
-        number, message = rejected[0]  # a parse error's message names its line
         raise LogFormatError(
             f"{len(rejected)} of {len(events) + len(rejected)} lines rejected; "
-            f"this does not look like an event log (first: "
-            f"line {number}: {message.removeprefix(f'line {number}: ')})"
+            f"this does not look like an event log (first: {result.first_rejection})"
         )
 
     events.sort(key=lambda e: (e.user_id, e.timestamp))
-    return IngestResult(events=events, rejected=rejected)
+    return result
 
 
 def write_events(path: str | Path, events: list[InteractionEvent]) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tolrec
-from tolrec.cli import OPTIONS, _resolve, build_parser, main, parse_window
+from tolrec.cli import OPTIONS, _outputs, _resolve, build_parser, main, parse_window
 from tolrec.events import write_events
 from tolrec.fixtures import generate_fixture_events
 
@@ -257,6 +257,33 @@ class TestConfigFile:
         )
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize(
+        "command, name", FLOATS, ids=[f"{c}-{n}" for c, n in FLOATS]
+    )
+    def test_int_beyond_float_range_fails_naming_key(
+        self, tmp_path, capsys, command, name, sign
+    ):
+        """A JSON int too large for a float fails by name before any input
+        is read, where it used to fail deep in the run naming no field (or,
+        for `ratio_cap`, to pass)."""
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{name}": {sign}1{"0" * 400}}}')
+        argv = [command, "--config", config]
+        for key, value in self.REQUIRED[command].items():
+            argv += [f"--{key}", tmp_path / value]
+        assert run(*argv) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert capsys.readouterr().err == (
+            f"error: config file: {name} must be a float, got an int beyond its range\n"
+        )
+
+    def test_large_int_in_float_range_kept_as_written(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"temperature": 10**308}))
+        args = build_parser().parse_args(["simulate", "--out", "o", "--config", str(config)])
+        assert _resolve(args)["temperature"] == 10**308
+
     @pytest.mark.parametrize(
         "command, buckets, field",
         [
@@ -395,7 +422,9 @@ class TestAnalyzeCommand:
             "analyze", "--events", events, "--out", tmp_path / "cohort.csv",
             "--ref", "2024-06-01..2024-06-08", "--inv", "2024-06-08..2024-06-15",
         ) == 0
-        assert "note: rejected 1 malformed lines" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "note: rejected 1 malformed lines" in err
+        assert "malformed lines (first: line 2: invalid JSON (" in err
 
     def test_bad_window_fails(self, tmp_path, event_file):
         out = tmp_path / "cohort.csv"
@@ -740,6 +769,99 @@ def test_output_naming_an_input_or_output_fails(
     assert files() == before
     err = capsys.readouterr().err
     assert f"{flags[0]} and {flags[1]} name the same file" in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("label", "--buckets", "abc"), "buckets"),
+        (("analyze", *_WINDOWS, "--buckets", "1,x"), "buckets"),
+        (("train", "--samples", "absent.jsonl", "--beta", "fixed:abc"), "beta"),
+        (("simulate", "--beta", "fixed:abc"), "beta"),
+        (("analyze", "--ref", "x", "--inv", "2024-06-08..2024-06-15"), "ref"),
+        (("analyze", "--ref", "2024-06-01..2024-06-08", "--inv", "2024-06-15..2024-06-08"),
+         "inv"),
+    ],
+    ids=["label-buckets", "analyze-buckets", "train-beta", "simulate-beta", "ref", "inv"],
+)
+def test_unparsable_string_option_fails_by_name(tmp_path, capsys, argv, name):
+    """A string option that does not parse fails naming the option, before
+    the (here missing) log is read and before any file is written."""
+    events = ("--events", tmp_path / "missing.jsonl") * (argv[0] in ("label", "analyze"))
+    assert run(*argv, *events, "--out", tmp_path / "out") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err.startswith(f"error: {name}: ")
+
+
+#: Command -> (argv, with file names relative to a directory of inputs; the
+#: files a run adds there, in the order written; and flags that make its
+#: last data write fail).
+OUTPUT_CASES = {
+    "label": (
+        ("label", "--events", "events.jsonl", "--out", "s.jsonl"),
+        ("s.jsonl", "s.jsonl.profiles", "s.jsonl.manifest.json"),
+        ("--profiles-out", "missing/p"),
+    ),
+    "train": (
+        ("train", "--samples", "samples.jsonl", "--out", "m.txt", "--epochs", "1"),
+        ("m.txt", "m.txt.history.csv", "m.txt.manifest.json"),
+        ("--history-out", "missing/h.csv"),
+    ),
+    "analyze": (
+        ("analyze", *_WINDOWS, "--events", "events.jsonl", "--out", "c.csv"),
+        ("c.csv", "c.csv.plot.csv", "c.csv.manifest.json"),
+        ("--plot-out", "missing/p"),
+    ),
+    "simulate": (
+        ("simulate", *_SMALL_SIM, "--out", "d.csv"),
+        ("d.csv", "d.csv.manifest.json"),
+        ("--out", "missing/d.csv"),
+    ),
+    "report": (
+        ("report", "--analyze", "video.csv", "--out", "s.txt"),
+        ("s.txt", "s.txt.manifest.json"),
+        ("--out", "missing/s.txt"),
+    ),
+}
+
+
+@pytest.fixture
+def inputs_dir(tmp_path, monkeypatch, report_inputs):
+    """The working directory, holding one input of each kind."""
+    root = report_inputs["video"].parent
+    for name in ("events.jsonl", "samples.jsonl"):
+        shutil.copy(root / name, tmp_path / name)
+    shutil.copy(report_inputs["video"], tmp_path / "video.csv")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def files_in(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_CASES))
+def test_run_adds_exactly_its_outputs(inputs_dir, command):
+    """A run adds its listed outputs and nothing else, so an output written
+    outside the list that the collision check and the cleanup use fails here."""
+    argv, added, _ = OUTPUT_CASES[command]
+    before = files_in(inputs_dir)
+    assert run(*argv) == 0
+    after = files_in(inputs_dir)
+    assert sorted(after) == sorted([*before, *added])
+    assert {name: after[name] for name in before} == before
+    assert tuple(_outputs(_resolve(build_parser().parse_args(argv))).values()) == added
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_CASES))
+def test_failed_write_removes_every_output(inputs_dir, capsys, command):
+    """A write that fails removes every output written before it: no
+    `--out`, no sidecar and no manifest is left."""
+    argv, _, failing = OUTPUT_CASES[command]
+    before = files_in(inputs_dir)
+    assert run(*argv, *failing) == 1
+    assert files_in(inputs_dir) == before
+    assert failing[1] in capsys.readouterr().err
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
