@@ -15,9 +15,11 @@ action strings are rejected rather than dropped, so schema drift
 surfaces early.
 """
 
+import gc
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
@@ -204,15 +206,29 @@ def _number(record: dict, key: str, line_number: int) -> float | None:
         raise EventParseError(line_number, f"{key} must be a finite number") from None
 
 
+# `json.loads` skips leading whitespace, decodes, then requires only this
+# whitespace after the value; a line starting with its value needs the last two.
+_decode = json.JSONDecoder().raw_decode
+_skip_space = json.decoder.WHITESPACE.match
+
+
 def _read_record(line: str, line_number: int, keys: frozenset, fields: itemgetter) -> tuple:
     """The checks every record makes, in this order: valid JSON, an object,
     no key outside ``keys``, each of ``fields`` present, string user and
     item, integer ts. Returns the record and the values of ``fields``, which
-    start with user, item and ts."""
+    start with user, item and ts. A line that does not decode from its
+    first character, or has more than whitespace after its value, goes
+    through ``json.loads``, which accepts it or names the fault's column."""
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise EventParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+        record, end = _decode(line)
+    except json.JSONDecodeError:
+        end = None
+    if end is None or _skip_space(line, end).end() != len(line):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            message = f"{exc.msg.removesuffix(' at')} at column {exc.colno}"
+            raise EventParseError(line_number, f"invalid JSON ({message})") from exc
     if type(record) is not dict:
         raise EventParseError(line_number, "record must be a JSON object")
     if not record.keys() <= keys:
@@ -314,6 +330,20 @@ class IngestResult:
         return f"line {number}: {message.removeprefix(f'line {number}: ')}"
 
 
+@contextmanager
+def _paused_gc():
+    """Turn the cyclic collector off while a loop builds many acyclic records,
+    which it would scan again and again and never free; then restore the
+    caller's setting, also when the loop raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def ingest_log(path: str | Path) -> IngestResult:
     """Read an event file, tolerating out-of-order and malformed lines.
 
@@ -326,23 +356,24 @@ def ingest_log(path: str | Path) -> IngestResult:
     """
     events: list[InteractionEvent] = []
     rejected: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                events.append(parse_event(line, number))
-            except (EventParseError, EventValidationError) as exc:
-                rejected.append((number, str(exc)))
+    with _paused_gc():  # over the sort too: its key tuples are one per event
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    events.append(parse_event(line, number))
+                except (EventParseError, EventValidationError) as exc:
+                    rejected.append((number, str(exc)))
 
-    result = IngestResult(events=events, rejected=rejected)
-    if len(rejected) > len(events):
-        raise LogFormatError(
-            f"{len(rejected)} of {len(events) + len(rejected)} lines rejected; "
-            f"this does not look like an event log (first: {result.first_rejection})"
-        )
+        result = IngestResult(events=events, rejected=rejected)
+        if len(rejected) > len(events):
+            raise LogFormatError(
+                f"{len(rejected)} of {len(events) + len(rejected)} lines rejected; "
+                f"this does not look like an event log (first: {result.first_rejection})"
+            )
 
-    events.sort(key=lambda e: (e.user_id, e.timestamp))
+        events.sort(key=lambda e: (e.user_id, e.timestamp))
     return result
 
 

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .events import EventParseError, InteractionEvent, Platform
-from .events import _check_types, _json_number, _json_string, _new, _read_record, _set
+from .events import _check_types, _json_number, _json_string, _new, _paused_gc, _read_record, _set
 
 
 class Label(Enum):
@@ -311,14 +311,15 @@ def _label(
     code, betas = _label_columns(events, labeler, loo)
     weights = iter(betas.tolist())
     samples = []
-    for event, c in zip(events, code):
-        sample = _new(LabeledSample)
-        _set(sample, "user_id", event.user_id)
-        _set(sample, "item_id", event.item_id)
-        _set(sample, "timestamp", event.timestamp)
-        _set(sample, "label", _CODE_LABELS[c])
-        _set(sample, "beta", next(weights) if c == _TOLERANCE else None)
-        samples.append(sample)
+    with _paused_gc():
+        for event, c in zip(events, code):
+            sample = _new(LabeledSample)
+            _set(sample, "user_id", event.user_id)
+            _set(sample, "item_id", event.item_id)
+            _set(sample, "timestamp", event.timestamp)
+            _set(sample, "label", _CODE_LABELS[c])
+            _set(sample, "beta", next(weights) if c == _TOLERANCE else None)
+            samples.append(sample)
     return samples
 
 
@@ -558,7 +559,7 @@ def write_samples(path: str | Path, samples: list[LabeledSample]) -> None:
 
 
 def read_samples(path: str | Path) -> list[LabeledSample]:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle, _paused_gc():
         numbered = enumerate(handle, start=1)
         return [parse_sample(line, number) for number, line in numbered if line.strip()]
 

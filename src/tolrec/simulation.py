@@ -20,6 +20,7 @@ difference between them is attributable to the training objective alone.
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,6 +192,13 @@ def generate_population(config: SimConfig) -> Population:
     )
 
 
+@lru_cache(maxsize=1)
+def _world(config: SimConfig) -> Population:
+    """:func:`generate_population`, built once for the arms of one run; a
+    ``Population`` is read-only, so the arms can share it."""
+    return generate_population(config)
+
+
 def user_response(
     world: Population,
     u: int,
@@ -318,7 +326,7 @@ def simulate_arm(config: TrainConfig, sim: SimConfig) -> list[DayArmStats]:
     model. So its rows depend only on ``config`` and ``sim``: never on its
     partner or its position.
     """
-    world = generate_population(sim)
+    world = _world(sim)
     catalog_index = {item_id: j for j, item_id in enumerate(world.item_ids)}
     # Seeded alike in every arm, so the arms' behaviour streams and return
     # draws are identical and only the ranking differs.

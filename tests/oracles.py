@@ -609,7 +609,11 @@ def reference_parse_event(line: str, line_number: int = 0) -> InteractionEvent:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise EventParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+        # The decoder's message, without its trailing "at", and the column.
+        reason = exc.msg[:-3] if exc.msg.endswith(" at") else exc.msg
+        raise EventParseError(
+            line_number, f"invalid JSON ({reason} at column {exc.colno})"
+        ) from exc
     if not isinstance(record, dict):
         raise EventParseError(line_number, "record must be a JSON object")
     unknown = set(record) - {

@@ -256,14 +256,19 @@ def test_ingest_aborts_on_format_mismatch(tmp_path):
 @pytest.mark.parametrize(
     "first, text",
     [
-        ("nope", "line 1: invalid JSON (Expecting value)"),
+        ("nope", "line 1: invalid JSON (Expecting value at column 1)"),
+        # A line cut inside a string: its newline is the offending character.
+        (
+            '{"user":"u1","item":"i',
+            "line 1: invalid JSON (Invalid control character at column 23)",
+        ),
         (
             '{"user":"u1","item":"v1","ts":1,"platform":"video","clicked":true,'
             '"watch":-1,"duration":10}',
             "line 1: watch_duration: must be non-negative",
         ),
     ],
-    ids=["parse-error", "validation-error"],
+    ids=["parse-error", "cut-line", "validation-error"],
 )
 def test_format_error_names_first_line_once(tmp_path, first, text):
     path = tmp_path / "bogus.jsonl"

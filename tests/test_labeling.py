@@ -702,6 +702,14 @@ class TestSampleSerialization:
                 "line 3: beta '0.5' outside [0, 1]",
             ),
             ('{"user":"u1"', "line 3: invalid JSON"),
+            # A valid record and more than whitespace after it.
+            *(
+                (
+                    '{"user":"u1","item":"i1","ts":5,"label":"P"}' + after,
+                    "line 3: invalid JSON (Extra data at column 45)",
+                )
+                for after in ["x", '{"user":"u1"}', "\x0c", "\u3000", ","]
+            ),
             ('["u1","i1",5,"P"]', "line 3: record must be a JSON object"),
             (
                 '{"user":"u1","item":"i1","ts":5,"label":"P","bta":0.5}',

@@ -9,6 +9,7 @@ parser raised ``OverflowError`` and aborted the whole log; they are now
 rejected lines, also checked there.
 """
 
+import gc
 import random
 
 import pytest
@@ -17,7 +18,9 @@ from tolrec.events import (
     EventParseError,
     EventValidationError,
     InteractionEvent,
+    LogFormatError,
     Platform,
+    _paused_gc,
     event_to_json,
     ingest_log,
     parse_event,
@@ -56,6 +59,12 @@ ECOM = '"user":"u1","item":"i1","ts":5,"platform":"ecommerce","clicked":true'
 ONE_FAULT = [
     "{not json",
     '{"user":"u1"',
+    # A valid record and more than whitespace after it: `json.loads` rejects
+    # these, though a decoder that reads one value from the start accepts it.
+    "{" + ECOM + "}x",
+    "{" + ECOM + "}{" + ECOM + "}",
+    "{" + ECOM + "}\x0c",
+    "{" + ECOM + "}\u3000",
     "\ufeff{" + ECOM + "}",
     "[1, 2]",
     '"text"',
@@ -188,6 +197,34 @@ def test_ingest_matches_reference_on_fixture_log(tmp_path, seed):
     assert len({id(e.followup_actions) for e in result.events if not e.followup_actions}) == 1
 
 
+@pytest.mark.parametrize(
+    "before, after",
+    [(" ", ""), ("\t ", ""), ("", " \t\r"), ("  ", "\r\n"), ("\n", " \t\r\n")],
+)
+def test_padded_record_parses_as_reference(before, after):
+    """Whitespace to `json.loads` around a record leaves the record standing."""
+    line = before + "{" + VIDEO + ',"watch":3,"duration":10}' + after
+    assert parse_event(line) == reference_parse_event(line)
+    line = before + '{"user":"u1","item":"i1","ts":5,"label":"T","beta":0.5}' + after
+    assert parse_sample(line) == reference_parse_sample(line)
+
+
+def test_ingest_accepts_whitespace_around_records(tmp_path):
+    """Leading spaces and trailing spaces, tabs and carriage returns do not
+    reject an event line, in the reference as in ``ingest_log``."""
+    lines = [
+        " " * (k % 3) + reference_event_to_json(event) + " \t\r"[: k % 4]
+        for k, event in enumerate(generate_fixture_events(n_events=300, seed=7))
+    ]
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    result = ingest_log(path)
+    events_ref, rejected_ref = reference_ingest(path)
+    assert result.rejected == rejected_ref == []
+    assert result.events == events_ref
+    assert len(result.events) == len(lines)
+
+
 def test_parse_matches_reference_on_valid_lines(rng):
     events = random_event_log(rng, n_events=500) + _special_events()
     for event in events:
@@ -238,6 +275,67 @@ def test_sample_round_trip_matches_reference(tmp_path):
     assert read_samples(path) == [reference_parse_sample(line) for line in expected]
     assert read_samples(path) == samples
     assert [parse_sample(line) for line in expected] == samples
+
+
+def test_read_samples_accepts_whitespace_around_records(tmp_path):
+    samples = _samples()
+    lines = [
+        " " * (k % 3) + reference_sample_to_json(sample) + " \t\r"[: k % 4]
+        for k, sample in enumerate(samples)
+    ]
+    path = tmp_path / "samples.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    assert read_samples(path) == samples
+
+
+@pytest.fixture
+def collector():
+    """Leave the cyclic collector on after the test, whatever the test did."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_paused_gc_restores_the_callers_setting(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    with _paused_gc():
+        assert not gc.isenabled()
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_bulk_builds_restore_the_collector(tmp_path, collector, enabled):
+    events = sorted(
+        generate_fixture_events(n_events=300, seed=8), key=lambda e: (e.user_id, e.timestamp)
+    )
+    log, samples = tmp_path / "events.jsonl", tmp_path / "samples.jsonl"
+    write_events(log, events)
+    write_samples(samples, label_log(events, LabelingConfig()).samples)
+    for build in (
+        lambda: ingest_log(log),
+        lambda: read_samples(samples),
+        lambda: label_log(events, LabelingConfig(), LabelingMode.LEAVE_ONE_OUT),
+    ):
+        (gc.enable if enabled else gc.disable)()
+        build()
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_restored_when_a_bulk_build_raises(tmp_path, collector, enabled):
+    log = tmp_path / "bogus.jsonl"
+    log.write_text("a,b\n1,2\n")
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(LogFormatError):
+        ingest_log(log)
+    assert gc.isenabled() is enabled
+
+    good = sample_to_json(LabeledSample("u1", "i1", 1, Label.NEGATIVE))
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text(f"{good}\n" * 50 + "nope\n" + f"{good}\n" * 50)
+    with pytest.raises(EventParseError, match="^line 51: invalid JSON"):
+        read_samples(samples)
+    assert gc.isenabled() is enabled
 
 
 def test_profile_bytes_match_reference(tmp_path):

@@ -257,6 +257,20 @@ class TestSimulateExperiment:
         b = simulate_experiment(train_config(), train_config(), config)
         assert a.table_rows() == b.table_rows()
 
+    def test_builds_the_population_once(self, monkeypatch):
+        """Both arms of one run read one world, built once."""
+        builds = []
+
+        def counting(config):
+            builds.append(config)
+            return generate_population(config)
+
+        monkeypatch.setattr(simulation, "generate_population", counting)
+        simulation._world.cache_clear()
+        config = small_sim(seed=6, days=2)
+        simulate_experiment(train_config(), train_config(Objective.TOLERANCE_AS_NEGATIVE), config)
+        assert builds == [config]
+
     def test_trains_without_an_epoch_loss(self, monkeypatch):
         """The simulator drops the loss history, so it must not compute one."""
 
