@@ -32,8 +32,6 @@ from .trainer import (
     RankingModel,
     TrainConfig,
     TrainResult,
-    gradient,
-    loss,
     train,
 )
 from .cohort import CohortConfig, CohortReport, analyze
@@ -78,10 +76,8 @@ __all__ = [
     "analyze",
     "event_to_json",
     "generate_population",
-    "gradient",
     "ingest_log",
     "label_log",
-    "loss",
     "parse_event",
     "simulate_experiment",
     "train",

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import UnionType
 
@@ -356,7 +356,7 @@ def ingest_log(path: str | Path) -> IngestResult:
     """
     events: list[InteractionEvent] = []
     rejected: list[tuple[int, str]] = []
-    with _paused_gc():  # over the sort too: its key tuples are one per event
+    with _paused_gc():
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
                 if not line.strip():
@@ -373,7 +373,10 @@ def ingest_log(path: str | Path) -> IngestResult:
                 f"this does not look like an event log (first: {result.first_rejection})"
             )
 
-        events.sort(key=lambda e: (e.user_id, e.timestamp))
+        # Two stable passes give the (user_id, timestamp) order, ties in
+        # input order, without a key tuple per event.
+        events.sort(key=attrgetter("timestamp"))
+        events.sort(key=attrgetter("user_id"))
     return result
 
 

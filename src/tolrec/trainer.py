@@ -237,23 +237,38 @@ def _logits(global_bias, gathered):
     return global_bias + users[:, -1] + items[:, -1] + dot
 
 
-def _loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
+#: Samples :func:`loss` gathers and scores at a time. One gather of every
+#: sample is an (n, 2, dimension + 1) array, 7.2 MB on a 50k-sample train;
+#: freeing it raises glibc's mmap threshold to its size, so later buffers
+#: up to that size come from the heap and stay resident. A chunk's gather
+#: is 0.6 MB at dimension 8.
+_LOSS_CHUNK = 4096
+
+
+def loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
+    """Mean objective value over samples encoded by :func:`_encode`, plus
+    the L2 penalty."""
     rows, weight, positive = encoded
-    z = _logits(model.global_bias, model.table.take(rows[::-1].T, axis=0))
+    crossed = rows[::-1].T
+    z = np.empty(len(weight))
+    for start in range(0, len(z), _LOSS_CHUNK):
+        chunk = slice(start, start + _LOSS_CHUNK)
+        z[chunk] = _logits(model.global_bias, model.table.take(crossed[chunk], axis=0))
     # -log(sigmoid(z)) and -log(1 - sigmoid(z)) without forming sigmoid;
-    # ``_encode`` leaves the weight of every non-positive at 1.0.
+    # ``_encode`` leaves the weight of every non-positive at 1.0. One mean
+    # over all the terms keeps the summation order of an unchunked loss.
     terms = weight * np.logaddexp(0.0, np.where(positive, -z, z))
     return float(np.mean(terms)) + _l2_penalty(model, l2)
 
 
-def _gradient(
-    model: RankingModel, index, pairs, crossed, weight, positive, l2: float
+def gradient(
+    model: RankingModel, pairs, crossed, weight, positive, index, l2: float
 ) -> tuple[np.ndarray, float]:
     """The loss's gradient over a batch: one array shaped like
     ``model.table``, and the global bias's. ``pairs`` holds each sample's
     user row and item row, (batch, 2), ``crossed`` the same item first,
-    and ``index`` is :func:`_index_table` of the table: one gather of the
-    crossed rows, one take of the pairs' bins, one ``np.bincount``.
+    and ``index`` each table entry's offset in the flat table: one gather
+    of the crossed rows, one take of the pairs' bins, one ``np.bincount``.
 
     ``np.bincount`` adds each bin's weights in input order starting from
     zero, exactly as ``np.add.at`` into zeros does, so every sum is
@@ -277,37 +292,6 @@ def _gradient(
     return grad, float(dz.sum())
 
 
-def _index_table(table: np.ndarray) -> np.ndarray:
-    """Each entry's offset in the flat ``table``: row r's gradient bins."""
-    return np.arange(table.size).reshape(table.shape)
-
-
-def loss(
-    model: RankingModel, samples: list[LabeledSample], config: TrainConfig
-) -> float:
-    """Mean objective value over the batch plus the L2 penalty."""
-    if not samples:
-        raise ValueError("sample collection must be nonempty")
-    return _loss(model, _encode(model, samples, config), config.l2)
-
-
-def gradient(
-    model: RankingModel, samples: list[LabeledSample], config: TrainConfig
-) -> RankingModel:
-    """Exact gradient of :func:`loss` for every parameter, shaped like the
-    model: its ``table`` and ``global_bias`` hold the derivatives, so
-    ``.user_factors`` and the other blocks read them. It shares ``users``
-    and ``items`` with ``model``."""
-    if not samples:
-        raise ValueError("sample collection must be nonempty")
-    rows, weight, positive = _encode(model, samples, config)
-    table, global_bias = _gradient(
-        model, _index_table(model.table), rows.T, rows[::-1].T, weight, positive,
-        config.l2,
-    )
-    return replace(model, table=table, global_bias=global_bias)
-
-
 @dataclass
 class TrainResult:
     model: RankingModel
@@ -315,6 +299,9 @@ class TrainResult:
     history: list[float] = field(default_factory=list)
 
 
+# A diverging run overflows before the finite checks below name its epoch;
+# numpy's warnings would come first, or, as errors, in their place.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     samples: list[LabeledSample],
     config: TrainConfig,
@@ -358,14 +345,15 @@ def train(
         model.global_bias = init_model.global_bias
 
     encoded = _encode(model, samples, config)
-    index = _index_table(model.table)
-    losses = [_loss(model, encoded, config.l2)] if history else []
+    # Each table entry's offset in the flat table: row r's gradient bins.
+    index = np.arange(model.table.size).reshape(model.table.shape)
+    losses = [loss(model, encoded, config.l2)] if history else []
     if not (np.isfinite(losses[0]) if history else _finite_parameters(model)):
         raise DivergenceError(0)
     for epoch in range(1, config.epochs + 1):
         _epoch(model, encoded, index, rng.permutation(len(samples)), config)
         if history:
-            losses.append(_loss(model, encoded, config.l2))
+            losses.append(loss(model, encoded, config.l2))
             if not np.isfinite(losses[-1]):
                 raise DivergenceError(epoch)
         if not _finite_parameters(model):
@@ -378,7 +366,7 @@ def _epoch(
 ) -> None:
     """One SGD pass over the samples in ``order``, a minibatch per step.
 
-    Each step is one :func:`_gradient` and one update of the table. The
+    Each step is one :func:`gradient` and one update of the table. The
     columns are permuted once per epoch, the rows both as (user, item)
     pairs and crossed, so each step slices contiguous arrays; they are
     locals, freed before the caller computes the epoch loss."""
@@ -388,9 +376,9 @@ def _epoch(
     lr, size = config.learning_rate, config.batch_size
     for start in range(0, len(order), size):
         batch = slice(start, start + size)
-        grad, global_grad = _gradient(
-            model, index, pairs[batch], crossed[batch], weight[batch],
-            positive[batch], config.l2,
+        grad, global_grad = gradient(
+            model, pairs[batch], crossed[batch], weight[batch], positive[batch],
+            index, config.l2,
         )
         grad *= lr
         model.table -= grad

@@ -7,6 +7,7 @@ rather than sharing code with the implementations they verify.
 
 import json
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from tolrec.trainer import (
     RankingModel,
     TrainConfig,
     TrainResult,
+    _encode,
+    gradient,
     loss,
 )
 
@@ -282,6 +285,29 @@ def reference_label_leave_one_out(
     )
 
 
+def sample_loss(
+    model: RankingModel, samples: list[LabeledSample], config: TrainConfig
+) -> float:
+    """:func:`tolrec.trainer.loss` of ``samples``, encoded as ``train``
+    encodes them."""
+    return loss(model, _encode(model, samples, config), config.l2)
+
+
+def sample_gradient(
+    model: RankingModel, samples: list[LabeledSample], config: TrainConfig
+) -> RankingModel:
+    """:func:`tolrec.trainer.gradient` over ``samples`` as one batch, shaped
+    like the model: its ``table`` and ``global_bias`` hold the derivatives,
+    so ``.user_factors`` and the other blocks read them. It shares ``users``
+    and ``items`` with ``model``."""
+    rows, weight, positive = _encode(model, samples, config)
+    index = np.arange(model.table.size).reshape(model.table.shape)
+    table, global_bias = gradient(
+        model, rows.T, rows[::-1].T, weight, positive, index, config.l2
+    )
+    return replace(model, table=table, global_bias=global_bias)
+
+
 def finite_difference_gradient(
     model: RankingModel,
     samples: list[LabeledSample],
@@ -297,7 +323,7 @@ def finite_difference_gradient(
             clone.global_bias += delta
         else:
             getattr(clone, attr)[index] += delta
-        return loss(clone, samples, config)
+        return sample_loss(clone, samples, config)
 
     def array_gradient(attr) -> np.ndarray:
         array = getattr(model, attr)
@@ -495,7 +521,7 @@ def _reference_step(model, batch, config) -> None:
 
 
 def reference_gradient(model, batch, config) -> RankingModel:
-    """:func:`tolrec.trainer.gradient` as ``_reference_step`` computes it:
+    """:func:`sample_gradient` as ``_reference_step`` computes it:
     each parameter array scattered on its own with ``np.add.at``, returned
     as a model of the same shape."""
     u_idx, i_idx, weight, positive, z = _reference_arrays(model, batch, config)

@@ -22,7 +22,7 @@ from tolrec.labeling import (
     watch_ratio,
 )
 from tolrec.simulation import SimConfig, simulate_experiment
-from tolrec.trainer import Objective, TrainConfig, gradient, loss, sigmoid, train
+from tolrec.trainer import Objective, TrainConfig, sigmoid, train
 
 from conftest import label_one, random_event_log
 from oracles import (
@@ -30,6 +30,8 @@ from oracles import (
     finite_difference_gradient,
     max_relative_gradient_error,
     relabel_tolerance_as_negative,
+    sample_gradient,
+    sample_loss,
 )
 from test_trainer import random_batch, random_model
 
@@ -97,13 +99,13 @@ def test_criterion_01_weak_positive_reduces_to_standard():
         model = random_model(
             [s.user_id for s in batch], [s.item_id for s in batch], 4, rng
         )
-        standard = loss(model, batch, TrainConfig(objective=Objective.STANDARD))
-        weak = loss(
+        standard = sample_loss(model, batch, TrainConfig(objective=Objective.STANDARD))
+        weak = sample_loss(
             model,
             batch,
             TrainConfig(objective=Objective.TOLERANCE_AS_WEAK_POSITIVE),
         )
-        fixed = loss(
+        fixed = sample_loss(
             model,
             batch,
             TrainConfig(
@@ -125,10 +127,10 @@ def test_criterion_02_tolerance_as_negative_relabeling():
         model = random_model(
             [s.user_id for s in batch], [s.item_id for s in batch], 4, rng
         )
-        direct = loss(
+        direct = sample_loss(
             model, batch, TrainConfig(objective=Objective.TOLERANCE_AS_NEGATIVE)
         )
-        relabeled = loss(
+        relabeled = sample_loss(
             model,
             relabel_tolerance_as_negative(batch),
             TrainConfig(objective=Objective.STANDARD),
@@ -150,7 +152,7 @@ def test_criterion_03_gradients_match_finite_differences():
         )
         for objective in Objective:
             config = TrainConfig(objective=objective, l2=0.01)
-            analytic = gradient(model, batch, config)
+            analytic = sample_gradient(model, batch, config)
             numeric = finite_difference_gradient(model, batch, config, h=1e-5)
             worst = max(worst, max_relative_gradient_error(analytic, numeric))
     ok = worst < 1e-6

@@ -351,6 +351,18 @@ class TestTrainCommand:
         assert not (tmp_path / "model.txt.history.csv").exists()
 
 
+    def test_divergence_is_one_error_line_and_no_output(self, tmp_path, event_file, capsys):
+        samples = tmp_path / "samples.jsonl"
+        assert run("label", "--events", event_file, "--out", samples) == 0
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run("train", "--samples", samples, "--out", tmp_path / "model.txt",
+                   "--lr", "1e300") == 1
+        assert capsys.readouterr().err == (
+            "error: training diverged at epoch 1; lower the learning rate\n"
+        )
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_failed_sidecar_removes_written_model(self, tmp_path, event_file, capsys):
         samples = tmp_path / "samples.jsonl"
         model = tmp_path / "model.txt"

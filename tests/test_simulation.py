@@ -277,7 +277,7 @@ class TestSimulateExperiment:
         def no_loss(*args):
             raise AssertionError("the simulator computed an epoch loss")
 
-        monkeypatch.setattr(trainer, "_loss", no_loss)
+        monkeypatch.setattr(trainer, "loss", no_loss)
         config = small_sim(seed=1, days=2)
         report = simulate_experiment(train_config(), train_config(), config)
         assert len(report.a) == len(report.b) == config.days
