@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
-from .events import InteractionEvent, Platform, TimeWindow, _check_types
+from .events import InteractionEvent, Platform, TimeWindow, _check_types, _sum_floats
 from .labeling import (
     ECOMMERCE_POSITIVE_ACTIONS, LabelingConfig, check_edges, watch_ratio
 )
@@ -128,8 +128,7 @@ def analyze(
         if ref == 0:
             continue
         # Reference engagement means a video user's ratio list is not empty.
-        # Summed whole, not as a running total: sum() is compensated from 3.12.
-        stat = sum(terms) / len(terms) if video else float(len(terms))
+        stat = _sum_floats(terms) / len(terms) if video else float(len(terms))
         bucket = bisect_right(edges, stat)
         users[bucket] += 1
         if inv < ref:

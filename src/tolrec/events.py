@@ -22,8 +22,9 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cache
-from operator import attrgetter, itemgetter
+from functools import cache, reduce
+from itertools import combinations
+from operator import add, attrgetter, itemgetter
 from pathlib import Path
 from types import UnionType
 
@@ -43,11 +44,25 @@ _EVENT_KEYS = frozenset(
 )
 _EVENT_FIELDS = itemgetter("user", "item", "ts", "platform", "clicked")
 _PLATFORMS = {p.value: p for p in Platform}
+#: Each subset of the vocabulary, keyed by itself: an event holds the one
+#: object here that equals its actions, not a set of its own.
+_ACTION_SETS = {
+    actions: actions
+    for size in range(len(ACTION_VOCABULARY) + 1)
+    for actions in map(frozenset, combinations(sorted(ACTION_VOCABULARY), size))
+}
 #: Shared by every event without follow-up actions.
-_NO_ACTIONS: frozenset[str] = frozenset()
+_NO_ACTIONS: frozenset[str] = _ACTION_SETS[frozenset()]
 # Build a frozen dataclass instance field by field, without its checks.
 _new = object.__new__
 _set = object.__setattr__
+
+
+def _sum_floats(values) -> float:
+    """``values`` added left to right from 0, as ``sum`` adds floats up to
+    Python 3.11. From 3.12 ``sum`` compensates the rounding, which could move
+    the last bit of an output between interpreter versions."""
+    return reduce(add, values, 0)
 
 
 def _is_number(value) -> bool:
@@ -117,7 +132,7 @@ class LogFormatError(ValueError):
     """More than half the lines of a log file were rejected."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionEvent:
     """One user-item interaction.
 
@@ -212,13 +227,17 @@ _decode = json.JSONDecoder().raw_decode
 _skip_space = json.decoder.WHITESPACE.match
 
 
-def _read_record(line: str, line_number: int, keys: frozenset, fields: itemgetter) -> tuple:
+def _read_record(
+    line: str, line_number: int, keys: frozenset, fields: itemgetter, ids: dict
+) -> tuple:
     """The checks every record makes, in this order: valid JSON, an object,
     no key outside ``keys``, each of ``fields`` present, string user and
     item, integer ts. Returns the record and the values of ``fields``, which
-    start with user, item and ts. A line that does not decode from its
-    first character, or has more than whitespace after its value, goes
-    through ``json.loads``, which accepts it or names the fault's column."""
+    start with user, item and ts; the user and item are the first equal
+    string that ``ids`` has seen, so the records of one read share each id.
+    A line that does not decode from its first character, or has more than
+    whitespace after its value, goes through ``json.loads``, which accepts
+    it or names the fault's column."""
     try:
         record, end = _decode(line)
     except json.JSONDecodeError:
@@ -242,7 +261,8 @@ def _read_record(line: str, line_number: int, keys: frozenset, fields: itemgette
         raise EventParseError(line_number, "user and item must be strings")
     if type(values[2]) is not int:
         raise EventParseError(line_number, "ts must be an integer")
-    return record, values
+    user, item = values[0], values[1]
+    return record, (ids.setdefault(user, user), ids.setdefault(item, item), *values[2:])
 
 
 def parse_event(line: str, line_number: int = 0) -> InteractionEvent:
@@ -253,8 +273,13 @@ def parse_event(line: str, line_number: int = 0) -> InteractionEvent:
     event invariant. Each check runs once; the event is then built
     without running them again.
     """
+    return _parse_event(line, line_number, {})
+
+
+def _parse_event(line: str, line_number: int, ids: dict) -> InteractionEvent:
+    """:func:`parse_event`, taking its ids from the read's table ``ids``."""
     record, (user, item, ts, platform, clicked) = _read_record(
-        line, line_number, _EVENT_KEYS, _EVENT_FIELDS
+        line, line_number, _EVENT_KEYS, _EVENT_FIELDS, ids
     )
     if type(clicked) is not bool:
         raise EventParseError(line_number, "clicked must be a boolean")
@@ -268,7 +293,8 @@ def parse_event(line: str, line_number: int = 0) -> InteractionEvent:
     if actions is not _NO_ACTIONS:
         if type(actions) is not list or not all(type(a) is str for a in actions):
             raise EventParseError(line_number, "actions must be an array of strings")
-        actions = frozenset(actions) if actions else _NO_ACTIONS
+        actions = frozenset(actions)
+        actions = _ACTION_SETS.get(actions, actions)  # a set with an unknown action is its own
     watch = _number(record, "watch", line_number)
     duration = _number(record, "duration", line_number)
     event = _new(InteractionEvent)
@@ -356,13 +382,14 @@ def ingest_log(path: str | Path) -> IngestResult:
     """
     events: list[InteractionEvent] = []
     rejected: list[tuple[int, str]] = []
+    ids: dict[str, str] = {}  # one string per id for this read's events only
     with _paused_gc():
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
                 try:
-                    events.append(parse_event(line, number))
+                    events.append(_parse_event(line, number, ids))
                 except (EventParseError, EventValidationError) as exc:
                     rejected.append((number, str(exc)))
 

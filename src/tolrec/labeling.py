@@ -119,7 +119,7 @@ class UserProfile:
     buckets: dict[int, BucketStats] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSample:
     """One labeled interaction; ``beta`` is present exactly for TOLERANCE."""
 
@@ -528,8 +528,13 @@ def parse_sample(line: str, line_number: int = 0) -> LabeledSample:
     """Parse one sample record, checked once and then built without running
     :class:`LabeledSample`'s checks again; a rejection is an
     :class:`EventParseError` that names the line."""
+    return _parse_sample(line, line_number, {})
+
+
+def _parse_sample(line: str, line_number: int, ids: dict) -> LabeledSample:
+    """:func:`parse_sample`, taking its ids from the read's table ``ids``."""
     record, (user, item, ts, label) = _read_record(
-        line, line_number, _SAMPLE_KEYS, _SAMPLE_FIELDS
+        line, line_number, _SAMPLE_KEYS, _SAMPLE_FIELDS, ids
     )
     kind = _LABELS.get(label) if type(label) is str else None
     if kind is None:
@@ -559,9 +564,10 @@ def write_samples(path: str | Path, samples: list[LabeledSample]) -> None:
 
 
 def read_samples(path: str | Path) -> list[LabeledSample]:
+    ids: dict[str, str] = {}  # one string per id for this read's samples only
     with open(path, encoding="utf-8") as handle, _paused_gc():
         numbered = enumerate(handle, start=1)
-        return [parse_sample(line, number) for number, line in numbered if line.strip()]
+        return [_parse_sample(line, number, ids) for number, line in numbered if line.strip()]
 
 
 def write_profiles(path: str | Path, profiles: dict[str, UserProfile]) -> None:

@@ -24,7 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .events import _NO_ACTIONS, InteractionEvent, Platform, _check_types, _new, _set
+from .events import (
+    _ACTION_SETS, _NO_ACTIONS, InteractionEvent, Platform, _check_types, _new, _set, _sum_floats
+)
 from .labeling import (
     CausalLabeler,
     Label,
@@ -35,8 +37,10 @@ from .labeling import (
 from .trainer import RankingModel, TrainConfig, train
 
 DAY_SECONDS = 86_400
-#: Follow-up actions a satisfied viewer may leave.
-_VIDEO_ACTIONS = ("like", "comment", "share", "follow")
+#: Follow-up actions a satisfied viewer may leave, each as its shared one-action set.
+_VIDEO_ACTIONS = tuple(
+    _ACTION_SETS[frozenset({action})] for action in ("like", "comment", "share", "follow")
+)
 
 # Response-model constants: every run of the simulator uses these values.
 
@@ -230,8 +234,7 @@ def user_response(
         ratio = min(max(ratio, 0.0), 1.0)
         if satisfaction >= expectation and satisfaction > ACTION_AFFINITY_THRESHOLD:
             if rng.random() < ACTION_PROBABILITY:
-                action = _VIDEO_ACTIONS[int(rng.integers(len(_VIDEO_ACTIONS)))]
-                actions = frozenset({action})
+                actions = _VIDEO_ACTIONS[int(rng.integers(len(_VIDEO_ACTIONS)))]
     # Only valid values reach the event, so it skips the constructor's checks.
     event = _new(InteractionEvent)
     _set(event, "user_id", world.user_ids[u])
@@ -285,7 +288,7 @@ class SimReport:
 
     def average_retention_delta(self) -> float:
         deltas = [b.retention - a.retention for a, b in zip(self.a, self.b)]
-        return sum(deltas) / len(deltas) if deltas else 0.0
+        return _sum_floats(deltas) / len(deltas) if deltas else 0.0
 
     def table_rows(self) -> list[list[str]]:
         """Rows for the daily CSV: per-day per-arm stats with deltas taken
@@ -305,14 +308,15 @@ class SimReport:
                 )
         for arm, rows in (("A", self.a), ("B", self.b)):
             n = len(rows)
+            pairs = list(zip(rows, self.a))
             out.append(
                 [
                     "avg",
                     arm,
                     str(round(sum(r.active_users for r in rows) / n)),
-                    f"{sum(r.retention - b.retention for r, b in zip(rows, self.a)) / n:.6f}",
-                    f"{sum(r.tolerance_rate for r in rows) / n:.6f}",
-                    f"{sum(r.dwell_mean - b.dwell_mean for r, b in zip(rows, self.a)) / n:.3f}",
+                    f"{_sum_floats(r.retention - b.retention for r, b in pairs) / n:.6f}",
+                    f"{_sum_floats(r.tolerance_rate for r in rows) / n:.6f}",
+                    f"{_sum_floats(r.dwell_mean - b.dwell_mean for r, b in pairs) / n:.3f}",
                 ]
             )
         return out
@@ -386,7 +390,7 @@ def simulate_arm(config: TrainConfig, sim: SimConfig) -> list[DayArmStats]:
                 day=day,
                 active_users=len(active),
                 retention=retained / len(active) if active else 0.0,
-                dwell_mean=sum(dwell.values()) / len(dwell) if dwell else 0.0,
+                dwell_mean=_sum_floats(dwell.values()) / len(dwell) if dwell else 0.0,
                 impressions=len(events),
                 tolerance_events=tolerance_events,
             )

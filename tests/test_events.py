@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import fields, replace
 
 import pytest
@@ -11,6 +12,7 @@ from tolrec.events import (
     LogFormatError,
     Platform,
     TimeWindow,
+    _sum_floats,
     event_to_json,
     ingest_log,
     parse_event,
@@ -184,6 +186,29 @@ def test_round_trip_random_events(rng):
     events = random_event_log(rng, n_events=300)
     for event in events:
         assert parse_event(event_to_json(event)) == event
+
+
+def test_float_sum_is_uncompensated():
+    """Left to right from 0, as Python 3.11's ``sum``: the 1.0 is lost to
+    rounding, where the compensated ``sum`` of 3.12 and ``math.fsum`` keep it."""
+    assert _sum_floats([1e16, 1.0, -1e16]) == 0.0
+    assert _sum_floats(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+
+def test_float_sum_equals_an_explicit_loop():
+    draw = random.Random(15)
+    pool = [-0.0, 0.0, 1.0, -1.0, 1e16, -1e16, 0.1, 5e-324, 1e308]
+    for _ in range(500):
+        values = [
+            draw.choice(pool) if draw.random() < 0.5 else draw.uniform(-1e3, 1e3)
+            for _ in range(draw.randint(1, 12))
+        ]
+        total = 0
+        for value in values:
+            total = total + value
+        # float.hex tells -0.0 from 0.0, which == does not.
+        assert float.hex(_sum_floats(values)) == float.hex(total), values
+    assert float.hex(_sum_floats([-0.0, -0.0])) == float.hex(0.0)
 
 
 def test_ingest_well_formed_file(tmp_path):

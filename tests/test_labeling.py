@@ -17,6 +17,7 @@ from tolrec.labeling import (
     read_samples,
     sample_to_json,
     watch_ratio,
+    write_samples,
 )
 from tolrec.labeling import _first_of_instant, _list_means
 
@@ -671,6 +672,30 @@ class TestSampleSerialization:
             LabeledSample("u1", "i1", 1, Label.POSITIVE, beta=0.5)
         with pytest.raises(ValueError):
             LabeledSample("u1", "i1", 1, Label.TOLERANCE)
+
+    def test_read_shares_each_id_within_a_read_only(self, tmp_path):
+        """One string per distinct id across a read's samples, and none shared
+        with another read of the same file."""
+        events = sorted(
+            generate_fixture_events(n_events=500, n_users=40, n_items=60, seed=12),
+            key=lambda e: (e.user_id, e.timestamp),
+        )
+        path = tmp_path / "samples.jsonl"
+        write_samples(path, label_log(events, LabelingConfig()).samples)
+        first, second = read_samples(path), read_samples(path)
+        assert first == second
+        for name in ("user_id", "item_id"):
+            values = [getattr(sample, name) for sample in first]
+            assert len(set(map(id, values))) == len(set(values)) < len(values), name
+        for a, b in zip(first, second):
+            assert a.user_id is not b.user_id and a.item_id is not b.item_id
+
+    def test_samples_hold_their_events_ids(self, rng):
+        events = random_event_log(rng, n_events=200)
+        for mode in LabelingMode:
+            samples = label_log(events, LabelingConfig(), mode).samples
+            for event, sample in zip(events, samples):
+                assert sample.user_id is event.user_id and sample.item_id is event.item_id
 
 
     @pytest.mark.parametrize(

@@ -9,17 +9,24 @@ parser raised ``OverflowError`` and aborted the whole log; they are now
 rejected lines, also checked there.
 """
 
+import copy
 import gc
+import json
+import pickle
 import random
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from tolrec.events import (
+    ACTION_VOCABULARY,
     EventParseError,
     EventValidationError,
     InteractionEvent,
     LogFormatError,
     Platform,
+    _ACTION_SETS,
     _paused_gc,
     event_to_json,
     ingest_log,
@@ -193,8 +200,84 @@ def test_ingest_matches_reference_on_fixture_log(tmp_path, seed):
     assert len(rejected_ref) == len(events) // 100 + len(ONE_FAULT + TWO_FAULTS)
     assert result.rejected == rejected_ref
     assert result.events == events_ref
-    # Events without actions share one empty set instead of one set each.
-    assert len({id(e.followup_actions) for e in result.events if not e.followup_actions}) == 1
+    # Each distinct id and action set, the empty one included, is one object
+    # across the read's events, and each action set is the table's.
+    for name in ("user_id", "item_id", "followup_actions"):
+        values = [getattr(event, name) for event in result.events]
+        assert len(set(map(id, values))) == len(set(values)), name
+    assert all(e.followup_actions is _ACTION_SETS[e.followup_actions] for e in result.events)
+
+
+def test_each_read_has_its_own_id_table(tmp_path):
+    """Two reads of one log give equal events that share no id string: a
+    table that outlived its read would keep every id it ever saw."""
+    path = tmp_path / "events.jsonl"
+    write_events(path, generate_fixture_events(n_events=300, seed=4))
+    first, second = ingest_log(path).events, ingest_log(path).events
+    assert first == second
+    for a, b in zip(first, second):
+        assert a.user_id is not b.user_id and a.item_id is not b.item_id
+
+
+def test_every_action_combination_parses_to_its_shared_set():
+    """Each nonempty subset of the vocabulary, in any order, is one object;
+    a set with an unknown action keeps its own and is rejected."""
+    combinations = [actions for actions in _ACTION_SETS if actions]
+    assert len(combinations) == 2 ** len(ACTION_VOCABULARY) - 1
+    for actions in combinations:
+        for order in (sorted(actions), sorted(actions, reverse=True)):
+            line = "{" + ECOM + ',"actions":' + json.dumps(order) + "}"
+            assert parse_event(line).followup_actions is _ACTION_SETS[actions]
+    with pytest.raises(EventValidationError, match=r"unknown actions \['wish'\]"):
+        parse_event("{" + ECOM + ',"actions":["cart","wish"]}')
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        InteractionEvent("u1", "v1", 5, Platform.VIDEO, True, 3.0, 10.0, frozenset({"like"})),
+        LabeledSample("u1", "i1", 5, Label.TOLERANCE, beta=0.5),
+    ],
+    ids=["event", "sample"],
+)
+def test_slotted_records_stay_frozen_values(record):
+    """A record keeps its fields in slots, with no instance dict, and stays a
+    frozen value: copies, pickles and replacements are equal and hash alike."""
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        record.user_id = "u2"
+    # A name that is no field has no slot. Which error says so depends on the
+    # Python version: 3.11's frozen __setattr__ raises TypeError on a slotted class.
+    with pytest.raises((AttributeError, TypeError)):
+        record.note = "extra"
+    for twin in (replace(record), copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and hash(twin) == hash(record)
+    assert replace(record, user_id="u2").user_id == "u2"
+
+
+def test_records_stay_within_their_memory_budget(tmp_path):
+    """Traced bytes that a read keeps per record, on a log that repeats its
+    ids and action sets. Slotted records that share their ids and action
+    sets keep about 178 B per event and 128 B per sample; with instance
+    dicts and a copy of each value per record they kept 363 B and 268 B."""
+    events = generate_fixture_events(n_events=5000, n_users=200, n_items=500, seed=9)
+    log, samples = tmp_path / "events.jsonl", tmp_path / "samples.jsonl"
+    write_events(log, events)
+    events.sort(key=lambda e: (e.user_id, e.timestamp))
+    write_samples(samples, label_log(events, LabelingConfig()).samples)
+    del events
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        ingested = ingest_log(log).events
+        after_events = tracemalloc.get_traced_memory()[0]
+        read = read_samples(samples)
+        after_samples = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ingested) == len(read) == 5000
+    assert after_events / len(ingested) <= 250
+    assert (after_samples - after_events) / len(read) <= 180
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tolrec import simulation, trainer
-from tolrec.events import Platform, _check_event
+from tolrec.events import Platform, _ACTION_SETS, _check_event
 from tolrec.labeling import CausalLabeler, Label, LabelingConfig, label_log
 from tolrec.simulation import (
     RETURN_CEILING,
@@ -180,14 +180,20 @@ class TestUserResponse:
         config = small_sim()
         world = generate_population(config)
         rng = np.random.default_rng(1)
+        acted = 0
         for t in range(500):
             u, j = t % config.population, t % config.catalog
             event = user_response(world, u, j, rng, t, config)
             _check_event(event)
             assert event.platform is Platform.VIDEO
             assert 0.0 <= event.watch_duration <= event.item_duration
+            # One action at most, as the one shared set of that combination.
+            assert len(event.followup_actions) <= 1
+            assert event.followup_actions is _ACTION_SETS[event.followup_actions]
             if event.followup_actions:
                 assert event.clicked
+                acted += 1
+        assert acted > 0
 
     def test_aligned_high_affinity_beats_population_mean_ratio(self):
         """With surface == content, a strongly liked item is watched more
