@@ -8,10 +8,10 @@ Event files are UTF-8 text with one JSON object per line:
 Keys: ``user`` (string), ``item`` (string), ``ts`` (integer seconds),
 ``platform`` ("ecommerce" | "video"), ``clicked`` (boolean),
 ``watch`` (number, video only), ``duration`` (number, video only),
-``actions`` (array of strings, optional). ``watch`` and ``duration`` must
-be finite: ``NaN`` and ``Infinity``, which JSON parsers accept, and
-integers too large for a float are rejected. Unknown keys and unknown
-action strings are rejected rather than dropped, so schema drift
+``actions`` (array of strings, optional). ``watch`` and ``duration`` are
+kept as written, int or float; :func:`_check_event` rejects ``NaN``,
+``Infinity`` and any number beyond the float range. Unknown keys and
+unknown action strings are rejected rather than dropped, so schema drift
 surfaces early.
 """
 
@@ -210,15 +210,12 @@ class TimeWindow:
 
 
 def _number(record: dict, key: str, line_number: int) -> float | None:
+    """The number at ``key`` as the line writes it, float or int, or None;
+    :func:`_check_event` rejects one beyond the float range."""
     value = record.get(key)
-    if value is None or type(value) is float:
+    if value is None or type(value) is float or type(value) is int:
         return value
-    if type(value) is not int:
-        raise EventParseError(line_number, f"{key} must be a number")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise EventParseError(line_number, f"{key} must be a finite number") from None
+    raise EventParseError(line_number, f"{key} must be a number")
 
 
 # `json.loads` skips leading whitespace, decodes, then requires only this

@@ -323,7 +323,8 @@ def _label(
     return samples
 
 
-@np.errstate(invalid="ignore")  # inf - inf is NaN, silently, as for Python floats
+# inf - inf is NaN, and a ratio over a tiny baseline inf, silently, as for Python floats.
+@np.errstate(invalid="ignore", over="ignore")
 def _label_columns(
     events: list[InteractionEvent], labeler: CausalLabeler, loo: bool
 ) -> tuple[bytearray, np.ndarray]:

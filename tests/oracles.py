@@ -672,7 +672,7 @@ def reference_parse_event(line: str, line_number: int = 0) -> InteractionEvent:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise EventParseError(line_number, f"{key} must be a number")
-        return float(value)
+        return value
 
     actions = record.get("actions", [])
     if not isinstance(actions, list) or not all(isinstance(a, str) for a in actions):

@@ -78,6 +78,14 @@ def test_parse_error_carries_line_number():
         ('"watch":Infinity,"duration":Infinity', "watch_duration"),
         ('"watch":3,"duration":Infinity', "item_duration"),
         ('"watch":3,"duration":NaN', "item_duration"),
+        # Beyond the float range, a decimal decodes to inf and an integer
+        # stays an int; the one finiteness check gives both one message.
+        ('"watch":1e400,"duration":10', "watch_duration"),
+        pytest.param('"watch":1%s,"duration":10' % ("0" * 400), "watch_duration",
+                     id="watch-400-digits"),
+        ('"watch":3,"duration":1e400', "item_duration"),
+        pytest.param('"watch":3,"duration":1%s' % ("0" * 400), "item_duration",
+                     id="duration-400-digits"),
     ],
 )
 def test_ingest_rejects_non_finite_numbers(tmp_path, numbers, name):
@@ -94,22 +102,22 @@ def test_ingest_rejects_non_finite_numbers(tmp_path, numbers, name):
 
 
 @pytest.mark.parametrize(
-    "numbers, key",
+    "numbers, message",
     [
-        ('"watch":1%s,"duration":10' % ("0" * 400), "watch"),
-        ('"watch":3,"duration":-1%s' % ("0" * 400), "duration"),
+        ('"watch":1%s,"duration":10' % ("0" * 400), "watch_duration: must be finite"),
+        ('"watch":3,"duration":-1%s' % ("0" * 400), "item_duration: must be positive"),
     ],
     ids=["watch-1e400", "duration-minus-1e400"],
 )
-def test_ingest_rejects_integers_beyond_float_range(tmp_path, numbers, key):
-    """``float()`` of such an integer raises ``OverflowError``; the line is
-    rejected by number instead of aborting the whole log."""
+def test_ingest_rejects_integers_beyond_float_range(tmp_path, numbers, message):
+    """Such an integer is kept as written and fails the event checks by
+    name, like any other number out of range, instead of aborting the log."""
     line = '{"user":"u1","item":"v2","ts":9,"platform":"video","clicked":true,%s}'
     path = tmp_path / "events.jsonl"
     path.write_text("\n".join([line % '"watch":3,"duration":10', line % numbers]) + "\n")
     result = ingest_log(path)
     assert len(result.events) == 1
-    assert result.rejected == [(2, f"line 2: {key} must be a finite number")]
+    assert result.rejected == [(2, message)]
 
 
 @pytest.mark.parametrize(

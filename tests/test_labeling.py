@@ -1,7 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tolrec.events import EventParseError, InteractionEvent, Platform
+from tolrec.cohort import CohortConfig, analyze
+from tolrec.events import (
+    EventParseError,
+    InteractionEvent,
+    Platform,
+    TimeWindow,
+    ingest_log,
+    write_events,
+)
 from tolrec.fixtures import generate_fixture_events
 from tolrec.labeling import (
     BucketStats,
@@ -17,6 +27,7 @@ from tolrec.labeling import (
     read_samples,
     sample_to_json,
     watch_ratio,
+    write_profiles,
     write_samples,
 )
 from tolrec.labeling import _first_of_instant, _list_means
@@ -65,8 +76,10 @@ def ecom_event(user="u1", item="i1", ts=0, clicked=True, actions=()):
 
 def oracle_logs():
     """Sparse and dense fixture logs plus edge cases, (user, timestamp)-sorted:
-    a log whose only engaged event leaves a global count of 0, and one with
-    a length-1 bucket list and repeated identical and capped ratios."""
+    a log whose only engaged event leaves a global count of 0, one with a
+    length-1 bucket list and repeated identical and capped ratios, and one
+    whose subnormal first ratio makes the second ratio over its baseline
+    overflow to inf, which Python floats do without a warning."""
 
     def by_user(events):
         return sorted(events, key=lambda e: (e.user_id, e.timestamp))
@@ -88,6 +101,10 @@ def oracle_logs():
                 for t, w in enumerate([3.0, 3.0, 7.0, 3.0, 3.0, 12.0, 3.0])
             ]
         ),
+        "tiny-baseline": [
+            video_event(ts=0, watch=5e-324, duration=1.0),
+            video_event(ts=1, watch=1.0, duration=1.0),
+        ],
     }
 
 
@@ -655,6 +672,38 @@ def test_causal_sweep_matches_reference(seed):
                     assert labeler.extend(batch) == reference_causal_extend(reference, batch), case
                 assert labeler.profiles == reference.profiles, case
                 assert labeler.global_mean == reference.global_mean, case
+
+
+def test_integer_numbers_label_and_analyze_like_floats(tmp_path, rng):
+    """One log written with integer watch and duration times (``3``, ``10``)
+    and again with floats (``3.0``, ``10.0``) gives the same bytes of samples
+    and profiles in both modes, and an equal cohort report."""
+
+    def written(events, kind):
+        return [
+            replace(e, watch_duration=kind(round(e.watch_duration)),
+                    item_duration=kind(round(e.item_duration)))
+            if e.platform is Platform.VIDEO else e
+            for e in events
+        ]
+
+    events = random_event_log(rng, n_events=600, n_users=30)
+    cohort = CohortConfig(TimeWindow(0, 6000), TimeWindow(6000, 12000), Platform.VIDEO)
+    outputs = {}
+    for kind in (int, float):
+        path = tmp_path / f"{kind.__name__}.jsonl"
+        write_events(path, written(events, kind))
+        ingested = ingest_log(path).events
+        assert {type(e.item_duration) for e in ingested if e.item_duration} == {kind}
+        outputs[kind] = [analyze(ingested, cohort, LabelingConfig())]
+        for mode in LabelingMode:
+            result = label_log(ingested, LabelingConfig(), mode)
+            write_samples(tmp_path / "samples.jsonl", result.samples)
+            write_profiles(tmp_path / "profiles.jsonl", result.profiles)
+            outputs[kind] += [(tmp_path / name).read_bytes()
+                              for name in ("samples.jsonl", "profiles.jsonl")]
+    assert not outputs[int][0].empty
+    assert outputs[int] == outputs[float]
 
 
 class TestSampleSerialization:

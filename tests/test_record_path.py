@@ -5,8 +5,9 @@ Lines with a non-finite ``watch`` or ``duration`` are left out of these
 comparisons: the old parser accepted them, and rejecting them is a
 deliberate change, checked in ``test_events.py``. So are lines with an
 integer ``watch`` or ``duration`` too large for a float, on which the old
-parser raised ``OverflowError`` and aborted the whole log; they are now
-rejected lines, also checked there.
+parser's ``float()`` raised ``OverflowError`` and aborted the whole log;
+both parsers now keep the integer as written, and the package rejects it
+by the same finiteness check as ``1e400``, also checked there.
 """
 
 import copy
