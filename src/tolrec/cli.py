@@ -350,10 +350,9 @@ def _cmd_train(resolved: dict) -> dict:
         raise ValueError(f"neg_sample must be non-negative, got {resolved['neg_sample']}")
     samples = read_samples(resolved["samples"])
     if resolved["neg_sample"]:
-        catalog = [s.item_id for s in samples]
         before = len(samples)
         samples = augment_with_sampled_negatives(
-            samples, resolved["neg_sample"], catalog, seed=resolved["seed"]
+            samples, resolved["neg_sample"], seed=resolved["seed"]
         )
         print(f"note: negative sampling added {len(samples) - before} samples", file=sys.stderr)
     result = train(samples, config)
@@ -370,9 +369,9 @@ def _cmd_analyze(resolved: dict) -> dict:
         platform=Platform(resolved["platform"]),
         bucket_edges=_parsed(resolved, "buckets", _parse_edges),
         min_watch_seconds=resolved["min_watch_seconds"],
+        ratio_cap=resolved["ratio_cap"],
     )
-    labeling = LabelingConfig(ratio_cap=resolved["ratio_cap"])
-    report = analyze(_ingest(resolved), config, labeling)
+    report = analyze(_ingest(resolved), config)
     if report.empty:
         print("warning: no users with reference-window engagement", file=sys.stderr)
     return {"out": (write_report, report), "plot_out": (write_plot_data, report)}

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .events import InteractionEvent, Platform, TimeWindow, _check_types, _sum_floats
-from .labeling import (
-    ECOMMERCE_POSITIVE_ACTIONS, LabelingConfig, check_edges, watch_ratio
-)
+from .labeling import ECOMMERCE_POSITIVE_ACTIONS, check_edges, watch_ratio
 
 #: Tolerance-count bucket edges for e-commerce: 0-9, 10-19, 20-49, 50+.
 DEFAULT_ECOMMERCE_EDGES = (10.0, 20.0, 50.0)
@@ -40,11 +38,15 @@ class CohortConfig:
     #: Video engagements shorter than this (seconds watched) do not count
     #: toward window engagement.
     min_watch_seconds: float = 0.0
+    #: Cap on each video watch ratio, as in labeling.
+    ratio_cap: float = 1.0
 
     def __post_init__(self):
         _check_types(self)
         if not self.min_watch_seconds >= 0:
             raise ValueError("min_watch_seconds must be non-negative")
+        if not self.ratio_cap > 0:
+            raise ValueError("ratio_cap must be positive")
         if self.reference.end > self.investigation.start:
             raise ValueError("reference window must end before investigation starts")
         check_edges("bucket_edges", self.effective_edges)
@@ -88,11 +90,7 @@ def _bucket_labels(edges: tuple[float, ...]) -> list[str]:
     return labels
 
 
-def analyze(
-    events: list[InteractionEvent],
-    config: CohortConfig,
-    labeling: LabelingConfig,
-) -> CohortReport:
+def analyze(events: list[InteractionEvent], config: CohortConfig) -> CohortReport:
     """Bucket users by reference-window tolerance and measure the share
     whose investigation-window engagement strictly declined (ties count
     as retained). One pass over ``events``, in any order; every user in
@@ -109,7 +107,7 @@ def analyze(
         if config.reference.contains(event.timestamp):
             window = 0
             if video:
-                tally[2].append(watch_ratio(event, labeling.ratio_cap))
+                tally[2].append(watch_ratio(event, config.ratio_cap))
             elif not event.followup_actions & ECOMMERCE_POSITIVE_ACTIONS:
                 tally[2].append(event)
         elif config.investigation.contains(event.timestamp):

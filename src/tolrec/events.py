@@ -234,10 +234,11 @@ def _read_record(
     string that ``ids`` has seen, so the records of one read share each id.
     A line that does not decode from its first character, or has more than
     whitespace after its value, goes through ``json.loads``, which accepts
-    it or names the fault's column."""
+    it or names the fault's column. An integer with more digits than the
+    interpreter converts is rejected as invalid JSON too."""
     try:
         record, end = _decode(line)
-    except json.JSONDecodeError:
+    except ValueError:
         end = None
     if end is None or _skip_space(line, end).end() != len(line):
         try:
@@ -245,6 +246,9 @@ def _read_record(
         except json.JSONDecodeError as exc:
             message = f"{exc.msg.removesuffix(' at')} at column {exc.colno}"
             raise EventParseError(line_number, f"invalid JSON ({message})") from exc
+        except ValueError as exc:  # the int digit limit (sys.get_int_max_str_digits)
+            message = "invalid JSON (number with too many digits)"
+            raise EventParseError(line_number, message) from exc
     if type(record) is not dict:
         raise EventParseError(line_number, "record must be a JSON object")
     if not record.keys() <= keys:

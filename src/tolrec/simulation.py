@@ -279,17 +279,6 @@ class SimReport:
     a: list[DayArmStats]
     b: list[DayArmStats]
 
-    def overall_tolerance_rate(self, arm: str) -> float:
-        rows = {"A": self.a, "B": self.b}[arm]
-        impressions = sum(r.impressions for r in rows)
-        if impressions == 0:
-            return 0.0
-        return sum(r.tolerance_events for r in rows) / impressions
-
-    def average_retention_delta(self) -> float:
-        deltas = [b.retention - a.retention for a, b in zip(self.a, self.b)]
-        return _sum_floats(deltas) / len(deltas) if deltas else 0.0
-
     def table_rows(self) -> list[list[str]]:
         """Rows for the daily CSV: per-day per-arm stats with deltas taken
         against arm A, then one average row per arm."""

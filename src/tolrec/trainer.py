@@ -19,7 +19,7 @@ SGD with a seeded init and shuffle so runs are bit-reproducible.
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -169,11 +169,6 @@ class RankingModel:
             gathered[:, 1] = self.table[u]
         return _logits(self.global_bias, gathered)
 
-    def copy(self) -> "RankingModel":
-        return replace(
-            self, users=dict(self.users), items=dict(self.items), table=self.table.copy()
-        )
-
 
 #: Columnar samples: table rows (2, n) of each sample's user and item,
 #: positive weight, is_positive.
@@ -262,20 +257,20 @@ def loss(model: RankingModel, encoded: Encoded, l2: float) -> float:
 
 
 def gradient(
-    model: RankingModel, pairs, crossed, weight, positive, index, l2: float
+    model: RankingModel, pairs, weight, positive, index, l2: float
 ) -> tuple[np.ndarray, float]:
     """The loss's gradient over a batch: one array shaped like
     ``model.table``, and the global bias's. ``pairs`` holds each sample's
-    user row and item row, (batch, 2), ``crossed`` the same item first,
-    and ``index`` each table entry's offset in the flat table: one gather
-    of the crossed rows, one take of the pairs' bins, one ``np.bincount``.
+    user row and item row, (batch, 2), and ``index`` each table entry's
+    offset in the flat table: one gather of the rows item first
+    (``pairs[:, ::-1]``), one take of the pairs' bins, one ``np.bincount``.
 
     ``np.bincount`` adds each bin's weights in input order starting from
     zero, exactly as ``np.add.at`` into zeros does, so every sum is
     bit-equal to scattering each parameter array on its own."""
     table = model.table
     # Each sample's item row, then its user row: (batch, 2, dimension + 1).
-    gathered = table.take(crossed, axis=0)
+    gathered = table.take(pairs[:, ::-1], axis=0)
     y_hat = sigmoid(_logits(model.global_bias, gathered))
     # d(term)/dz: w * (y_hat - 1) for positives, y_hat for negatives.
     dz = np.where(positive, weight * (y_hat - 1.0), y_hat) / len(pairs)
@@ -367,18 +362,16 @@ def _epoch(
     """One SGD pass over the samples in ``order``, a minibatch per step.
 
     Each step is one :func:`gradient` and one update of the table. The
-    columns are permuted once per epoch, the rows both as (user, item)
-    pairs and crossed, so each step slices contiguous arrays; they are
-    locals, freed before the caller computes the epoch loss."""
+    columns are permuted once per epoch, the rows as (user, item) pairs,
+    so each step slices contiguous arrays; they are locals, freed before
+    the caller computes the epoch loss."""
     rows, weight, positive = encoded
-    pairs, crossed = rows.T[order], rows[::-1].T[order]
-    weight, positive = weight[order], positive[order]
+    pairs, weight, positive = rows.T[order], weight[order], positive[order]
     lr, size = config.learning_rate, config.batch_size
     for start in range(0, len(order), size):
         batch = slice(start, start + size)
         grad, global_grad = gradient(
-            model, pairs[batch], crossed[batch], weight[batch], positive[batch],
-            index, config.l2,
+            model, pairs[batch], weight[batch], positive[batch], index, config.l2
         )
         grad *= lr
         model.table -= grad
@@ -390,21 +383,18 @@ def _finite_parameters(model: RankingModel) -> bool:
 
 
 def augment_with_sampled_negatives(
-    samples: list[LabeledSample],
-    negatives_per_positive: int,
-    catalog: list[str],
-    seed: int = 0,
+    samples: list[LabeledSample], negatives_per_positive: int, seed: int = 0
 ) -> list[LabeledSample]:
     """Uniform negative sampling for logs without impression records.
 
-    For each POSITIVE sample, draws ``negatives_per_positive`` items the
-    user never interacted with in ``samples`` and appends NEGATIVE
-    samples at the source timestamp.
+    For each POSITIVE sample, draws ``negatives_per_positive`` of the items
+    in ``samples`` that the user never interacted with there, and appends
+    NEGATIVE samples at the source timestamp.
     """
     if negatives_per_positive < 0:
         raise ValueError("negatives_per_positive must be non-negative")
     rng = np.random.default_rng(seed)
-    catalog = sorted(set(catalog))
+    catalog = sorted({s.item_id for s in samples})
     seen: dict[str, set[str]] = {}
     for sample in samples:
         seen.setdefault(sample.user_id, set()).add(sample.item_id)

@@ -81,6 +81,31 @@ def random_event_log(
     return events
 
 
+def metamorphic_log() -> list[InteractionEvent]:
+    """A 3000-event log sorted by (user, timestamp), with same-user and
+    cross-user timestamp ties, for the metamorphic relations; four users
+    at its end have one event each."""
+    events = random_event_log(np.random.default_rng(29), n_events=3000, n_users=150, ts_slots=60)
+    events += [
+        InteractionEvent("w0", "i000", 300, Platform.VIDEO, True, 30.0, 40.0),
+        InteractionEvent("w1", "i001", 300, Platform.VIDEO, False, 0.0, 40.0),
+        InteractionEvent("w2", "i002", 600, Platform.ECOMMERCE, True),
+        InteractionEvent(
+            "w3", "i003", 960, Platform.ECOMMERCE, True,
+            followup_actions=frozenset({"purchase"}),
+        ),
+    ]
+    return events
+
+
+def long_value_id(value):
+    """A test id that names a long string parameter by its start and length;
+    None, which keeps pytest's own id, for any other value."""
+    if isinstance(value, str) and len(value) > 1000:
+        return f"{value[:40]}...{len(value)}-chars"
+    return None
+
+
 def label_one(
     event: InteractionEvent,
     config: LabelingConfig,

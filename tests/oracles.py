@@ -32,6 +32,7 @@ from tolrec.labeling import (
     UserProfile,
     watch_ratio,
 )
+from tolrec.simulation import SimReport
 from tolrec.trainer import (
     Objective,
     RankingModel,
@@ -302,9 +303,7 @@ def sample_gradient(
     and ``items`` with ``model``."""
     rows, weight, positive = _encode(model, samples, config)
     index = np.arange(model.table.size).reshape(model.table.shape)
-    table, global_bias = gradient(
-        model, rows.T, rows[::-1].T, weight, positive, index, config.l2
-    )
+    table, global_bias = gradient(model, rows.T, weight, positive, index, config.l2)
     return replace(model, table=table, global_bias=global_bias)
 
 
@@ -318,7 +317,7 @@ def finite_difference_gradient(
     model of the same shape."""
 
     def perturbed(attr, index, delta) -> float:
-        clone = model.copy()
+        clone = replace(model, table=model.table.copy())
         if attr == "global_bias":
             clone.global_bias += delta
         else:
@@ -334,7 +333,7 @@ def finite_difference_gradient(
             ) / (2 * h)
         return out
 
-    grad = model.copy()
+    grad = replace(model, table=model.table.copy())
     grad.user_factors = array_gradient("user_factors")
     grad.item_factors = array_gradient("item_factors")
     grad.user_bias = array_gradient("user_bias")
@@ -540,7 +539,7 @@ def reference_gradient(model, batch, config) -> RankingModel:
         g_item_factors += config.l2 * model.item_factors
         g_user_bias += config.l2 * model.user_bias
         g_item_bias += config.l2 * model.item_bias
-    grad = model.copy()
+    grad = replace(model, table=model.table.copy())
     grad.user_factors = g_user_factors
     grad.item_factors = g_item_factors
     grad.user_bias = g_user_bias
@@ -639,6 +638,10 @@ def reference_parse_event(line: str, line_number: int = 0) -> InteractionEvent:
         reason = exc.msg[:-3] if exc.msg.endswith(" at") else exc.msg
         raise EventParseError(
             line_number, f"invalid JSON ({reason} at column {exc.colno})"
+        ) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise EventParseError(
+            line_number, "invalid JSON (number with too many digits)"
         ) from exc
     if not isinstance(record, dict):
         raise EventParseError(line_number, "record must be a JSON object")
@@ -830,14 +833,11 @@ def _bucket_labels(edges: tuple[float, ...]) -> list[str]:
     return labels
 
 
-def reference_analyze(
-    events: list[InteractionEvent],
-    config: CohortConfig,
-    labeling: LabelingConfig,
-) -> CohortReport:
+def reference_analyze(events: list[InteractionEvent], config: CohortConfig) -> CohortReport:
     """Bucket users by reference-window tolerance and measure the share
     whose investigation-window engagement strictly declined (ties count
     as retained)."""
+    labeling = LabelingConfig(ratio_cap=config.ratio_cap)
     by_user: dict[str, list[InteractionEvent]] = {}
     for event in events:
         by_user.setdefault(event.user_id, []).append(event)
@@ -880,3 +880,27 @@ def reference_analyze(
         considered=considered,
         excluded=excluded,
     )
+
+
+# ---------------------------------------------------------------------------
+# The simulation criteria's metrics over a paired run's daily rows.
+# ---------------------------------------------------------------------------
+
+
+def reference_overall_tolerance_rate(report: SimReport, arm: str) -> float:
+    """Tolerance events over impressions across every day of one arm."""
+    rows = {"A": report.a, "B": report.b}[arm]
+    impressions = sum(r.impressions for r in rows)
+    if impressions == 0:
+        return 0.0
+    return sum(r.tolerance_events for r in rows) / impressions
+
+
+def reference_average_retention_delta(report: SimReport) -> float:
+    """Mean over days of arm B's retention minus arm A's, the deltas added
+    left to right from 0."""
+    total, days = 0, 0
+    for a, b in zip(report.a, report.b):
+        total += b.retention - a.retention
+        days += 1
+    return total / days if days else 0.0

@@ -29,6 +29,8 @@ from oracles import (
     brute_force_causal_labels,
     finite_difference_gradient,
     max_relative_gradient_error,
+    reference_average_retention_delta,
+    reference_overall_tolerance_rate,
     relabel_tolerance_as_negative,
     sample_gradient,
     sample_loss,
@@ -304,7 +306,7 @@ def test_criterion_07_cohort_trend_recovers_generator():
                 inv_total = ref_total - 2 if declined else ref_total + k % 2
                 for t in range(inv_total):
                     events.append(_ecom_event(user, 100_000 + t, clicked=True))
-        result = analyze(events, config, LabelingConfig())
+        result = analyze(events, config)
         proportions = [b.decline_proportion for b in result.buckets]
         monotone = all(b >= a for a, b in zip(proportions, proportions[1:]))
         in_band = True
@@ -348,9 +350,10 @@ def test_criterion_08_simulation_directional(treated):
             sim_train_config(treated, seed),
             sim,
         )
-        if rep.overall_tolerance_rate("B") < rep.overall_tolerance_rate("A"):
+        rate_a, rate_b = (reference_overall_tolerance_rate(rep, arm) for arm in "AB")
+        if rate_b < rate_a:
             lower += 1
-        deltas.append(rep.average_retention_delta())
+        deltas.append(reference_average_retention_delta(rep))
     positive = sum(delta > 0 for delta in deltas)
     mean, se = mean_and_se(deltas)
     ok = lower >= 8 and positive >= 8
@@ -383,13 +386,14 @@ def test_criterion_09_null_effect_without_trust_decay():
             sim_train_config(Objective.TOLERANCE_AS_NEGATIVE, seed),
             sim,
         )
-        deltas.append(rep.average_retention_delta())
+        deltas.append(reference_average_retention_delta(rep))
         rows_a, rows_b = (
             [(r.day, r.active_users, r.retention) for r in rows]
             for rows in (rep.a, rep.b)
         )
         equal_rows += rows_a == rows_b
-        lower += rep.overall_tolerance_rate("B") < rep.overall_tolerance_rate("A")
+        rate_a, rate_b = (reference_overall_tolerance_rate(rep, arm) for arm in "AB")
+        lower += rate_b < rate_a
     mean, se = mean_and_se(deltas)
     ok = abs(mean) <= 3.0 * se + 1e-12 and equal_rows == 10 and lower >= 8
     report(9, ok, f"null effect: |mean delta| {abs(mean):.2e} <= 3 x SE {se:.2e} over 10 seeds")
@@ -411,7 +415,7 @@ def test_criterion_09_calibration_standard_vs_standard():
             sim_train_config(Objective.STANDARD, seed + 1000),
             SimConfig(seed=seed),
         )
-        deltas.append(rep.average_retention_delta())
+        deltas.append(reference_average_retention_delta(rep))
     positive = sum(delta > 0 for delta in deltas)
     mean, se = mean_and_se(deltas)
     ok = se > 0 and abs(mean) <= 3.0 * se

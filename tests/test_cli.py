@@ -13,6 +13,8 @@ from tolrec.cli import OPTIONS, _outputs, _resolve, build_parser, main, parse_wi
 from tolrec.events import write_events
 from tolrec.fixtures import generate_fixture_events
 
+from conftest import long_value_id
+
 
 @pytest.fixture
 def event_file(tmp_path):
@@ -69,6 +71,21 @@ class TestLabelCommand:
         samples = out.read_text().splitlines()
         assert len(samples) == 14
         assert not any("NaN" in line or "nan" in line for line in samples)
+
+    def test_integer_past_the_digit_limit_is_a_rejected_line(self, tmp_path, event_file, capsys):
+        """An integer longer than the interpreter converts rejects its line,
+        not the whole log."""
+        lines = event_file.read_text().splitlines()
+        lines[4] = lines[4].replace('"ts":', '"ts":' + "9" * 5001, 1)
+        events = tmp_path / "huge.jsonl"
+        events.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "samples.jsonl"
+        assert run("label", "--events", events, "--out", out) == 0
+        assert (
+            "note: rejected 1 malformed lines (first: line 5: invalid JSON "
+            "(number with too many digits))"
+        ) in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == len(lines) - 1
 
     def test_flags_override_defaults(self, tmp_path, event_file):
         out = tmp_path / "samples.jsonl"
@@ -401,7 +418,12 @@ class TestTrainCommand:
             ('{"user":"u1","item":"i1","ts":5,"label":"X"}', "line 2: unknown label 'X'"),
             ('{"user":5,"item":"i1","ts":5,"label":"P"}', "line 2: user and item must be strings"),
             ('{"user":"u1","item":"i1","ts":"x","label":"P"}', "line 2: ts must be an integer"),
+            (
+                '{"user":"u1","item":"i1","ts":' + "5" * 5001 + ',"label":"P"}',
+                "line 2: invalid JSON (number with too many digits)",
+            ),
         ],
+        ids=long_value_id,
     )
     def test_bad_sample_fails_naming_line(self, tmp_path, capsys, record, message):
         samples = tmp_path / "samples.jsonl"
@@ -467,6 +489,15 @@ class TestAnalyzeCommand:
         ) == 1
         assert list(tmp_path.iterdir()) == []
         assert "window 'bad'" in capsys.readouterr().err
+
+    def test_bad_ratio_cap_named_before_ingest(self, tmp_path, capsys):
+        assert run(
+            "analyze", "--events", tmp_path / "missing.jsonl",
+            "--out", tmp_path / "cohort.csv", "--ratio-cap", "0",
+            "--ref", "2024-06-01..2024-06-08", "--inv", "2024-06-08..2024-06-15",
+        ) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "error: ratio_cap must be positive" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

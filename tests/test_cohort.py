@@ -16,7 +16,7 @@ from tolrec.events import InteractionEvent, Platform, TimeWindow
 from tolrec.fixtures import generate_fixture_events
 from tolrec.labeling import LabelingConfig
 
-from conftest import random_event_log
+from conftest import metamorphic_log, random_event_log
 from oracles import reference_analyze
 
 
@@ -69,7 +69,7 @@ class TestTally:
         events = [ecom("u1", ts) for ts in range(10)] + [
             ecom("u1", ts) for ts in range(100, 105)
         ]
-        report = analyze(events, unit_config(), LabelingConfig())
+        report = analyze(events, unit_config())
         assert occupied(report) == {10: (1, 1)}
 
     def test_windows_are_half_open(self):
@@ -78,11 +78,11 @@ class TestTally:
         events = [ecom("u1", ts) for ts in (0, 50, 99, 100, 199, 200)] + [
             ecom("u2", ts) for ts in (0, 99, 100, 199)
         ]
-        report = analyze(events, unit_config(), LabelingConfig())
+        report = analyze(events, unit_config())
         assert occupied(report) == {2: (1, 0), 3: (1, 1)}
 
     def test_zero_events(self):
-        report = analyze([], unit_config(), LabelingConfig())
+        report = analyze([], unit_config())
         assert report.empty and report.excluded == 0
 
     @pytest.mark.parametrize(
@@ -100,7 +100,7 @@ class TestTally:
             make("u2", 1), make("u2", 3),
             make("u2", 100), make("u2", 101, clicked=False),
         ]
-        report = analyze(events, unit_config(platform), LabelingConfig())
+        report = analyze(events, unit_config(platform))
         assert occupied(report) == {bucket: (2, 1)}
 
     def test_min_watch_seconds_limits_engagement_not_statistic(self):
@@ -112,10 +112,10 @@ class TestTally:
             video("u2", 1, 0.05), video("u2", 100, 0.5),
             video("u3", 1, 0.1), video("u3", 100, 0.1),
         ]
-        every = analyze(events, unit_config(Platform.VIDEO, ()), LabelingConfig())
+        every = analyze(events, unit_config(Platform.VIDEO, ()))
         assert occupied(every) == {0: (1, 0), 1: (1, 0), 2: (1, 1)}
         config = unit_config(Platform.VIDEO, (), min_watch_seconds=10.0)
-        short_skipped = analyze(events, config, LabelingConfig())
+        short_skipped = analyze(events, config)
         assert occupied(short_skipped) == {1: (1, 0), 2: (1, 0)}
         assert short_skipped.excluded == 1
 
@@ -129,7 +129,7 @@ class TestTally:
             ecom("u1", 6, actions=("like",)),
             video("u1", 7, 0.1),
         ]
-        assert occupied(analyze(events, unit_config(), LabelingConfig())) == {4: (1, 1)}
+        assert occupied(analyze(events, unit_config())) == {4: (1, 1)}
 
     def test_video_statistic_is_mean_ratio(self):
         # Mean 0.3; the median 0.2, the maximum 0.6 and a mean that took
@@ -141,7 +141,7 @@ class TestTally:
             video("u1", 4, 0.0, clicked=False),
         ]
         config = unit_config(Platform.VIDEO, (0.25, 0.35))
-        assert occupied(analyze(events, config, LabelingConfig())) == {1: (1, 1)}
+        assert occupied(analyze(events, config)) == {1: (1, 1)}
 
     def test_no_reference_engagement_excluded(self):
         events = [
@@ -151,7 +151,7 @@ class TestTally:
             ecom("non-click", 1, clicked=False),
             video("other-platform", 1, 0.5),
         ]
-        report = analyze(events, unit_config(), LabelingConfig())
+        report = analyze(events, unit_config())
         assert occupied(report) == {1: (1, 1)}
         assert (report.considered, report.excluded) == (1, 4)
 
@@ -169,7 +169,7 @@ class TestAnalyze:
         events = [ecom("u1", ts) for ts in range(10)] + [
             ecom("u1", ts) for ts in range(100, 104)
         ]
-        report = analyze(events, self.config(), LabelingConfig())
+        report = analyze(events, self.config())
         assert report.considered == 1
         total_declines = sum(b.declines for b in report.buckets)
         assert total_declines == 1
@@ -178,7 +178,7 @@ class TestAnalyze:
         events = [ecom("u1", ts) for ts in range(5)] + [
             ecom("u1", ts) for ts in range(100, 105)
         ]
-        report = analyze(events, self.config(), LabelingConfig())
+        report = analyze(events, self.config())
         assert report.considered == 1
         assert sum(b.declines for b in report.buckets) == 0
 
@@ -189,7 +189,7 @@ class TestAnalyze:
             investigation=TimeWindow(150, 300),
             platform=Platform.VIDEO,
         )
-        report = analyze(events, config, LabelingConfig())
+        report = analyze(events, config)
         assert report.considered + report.excluded == len({e.user_id for e in events})
         assert sum(b.users for b in report.buckets) == report.considered
 
@@ -198,8 +198,8 @@ class TestAnalyze:
             ecom("u1", ts) for ts in range(100, 104)
         ]
         noise = [ecom("u1", ts) for ts in range(500, 520)]
-        first = analyze(base, self.config(), LabelingConfig())
-        second = analyze(base + noise, self.config(), LabelingConfig())
+        first = analyze(base, self.config())
+        second = analyze(base + noise, self.config())
         assert first.buckets == second.buckets
 
     def test_permutation_invariance(self, rng):
@@ -209,15 +209,15 @@ class TestAnalyze:
             investigation=TimeWindow(150, 300),
             platform=Platform.VIDEO,
         )
-        first = analyze(events, config, LabelingConfig())
+        first = analyze(events, config)
         shuffled = list(events)
         rng.shuffle(shuffled)  # type: ignore[arg-type]
-        second = analyze(shuffled, config, LabelingConfig())
+        second = analyze(shuffled, config)
         assert first.buckets == second.buckets
 
     def test_empty_report_flagged(self):
         events = [ecom("u1", 1, clicked=False)]
-        report = analyze(events, self.config(), LabelingConfig())
+        report = analyze(events, self.config())
         assert report.empty
         assert report.considered == 0
         assert report.excluded == 1
@@ -267,6 +267,26 @@ class TestAnalyze:
     def test_accepts_infinite_edge(self):
         assert self.config(edges=(10.0, float("inf"))).effective_edges[-1] == float("inf")
 
+    @pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")])
+    def test_rejects_ratio_cap_that_is_not_positive_as_labeling_does(self, cap):
+        with pytest.raises(ValueError, match="^ratio_cap must be positive$"):
+            replace(self.config(Platform.VIDEO), ratio_cap=cap)
+        with pytest.raises(ValueError, match="^ratio_cap must be positive$"):
+            LabelingConfig(ratio_cap=cap)
+
+    def test_accepts_infinite_ratio_cap(self):
+        config = replace(self.config(Platform.VIDEO), ratio_cap=float("inf"))
+        assert config.ratio_cap == float("inf")
+
+    def test_ratio_cap_bounds_a_rewatch(self):
+        """A user whose one reference watch is a 1.5x rewatch is bucketed
+        by the capped ratio: 1.0 at the default cap, 1.5 under a cap of 2."""
+        events = [video("u1", 1, 1.5), video("u1", 100, 1.5)]
+        config = self.config(Platform.VIDEO, (1.2,))
+        for cap, label in ((1.0, "<1.2"), (2.0, ">=1.2")):
+            report = analyze(events, replace(config, ratio_cap=cap))
+            assert [b.label for b in report.buckets if b.users] == [label]
+
     def test_video_panel_declines_fall_as_ratio_rises(self, rng):
         """Higher mean watch ratio means less tolerance, so on synthetic
         video logs built that way the decline proportion is non-increasing
@@ -287,7 +307,7 @@ class TestAnalyze:
             platform=Platform.VIDEO,
             bucket_edges=(0.25, 0.45, 0.65, 0.85),
         )
-        report = analyze(events, config, LabelingConfig())
+        report = analyze(events, config)
         proportions = [b.decline_proportion for b in report.buckets]
         assert all(b.users == 200 for b in report.buckets)
         assert all(b <= a for a, b in zip(proportions, proportions[1:]))
@@ -311,11 +331,7 @@ class TestAnalyze:
                 inv_count = ref_engagement - 3 if declines else ref_engagement
                 for t in range(inv_count):
                     events.append(ecom(user, 100 + t))
-        report = analyze(
-            events,
-            self.config(edges=edges),
-            LabelingConfig(),
-        )
+        report = analyze(events, self.config(edges=edges))
         proportions = [b.decline_proportion for b in report.buckets if b.users]
         assert len(proportions) == 4
         assert all(b >= a for a, b in zip(proportions, proportions[1:]))
@@ -347,7 +363,7 @@ def _stray_users(reference, investigation):
     ]
 
 
-def _edges_through_a_statistic(events, config, labeling):
+def _edges_through_a_statistic(events, config):
     """Custom edges, one of them equal to the reference statistic of the
     user with the most clicked reference events on the platform."""
     clicked = [
@@ -364,7 +380,7 @@ def _edges_through_a_statistic(events, config, labeling):
         positive = {"cart", "favorite", "purchase"}
         bare = [e for e in mine if not e.followup_actions & positive]
         return tuple(sorted({1.0, float(len(bare)), 60.0}))
-    ratios = [min(e.watch_duration / e.item_duration, labeling.ratio_cap) for e in mine]
+    ratios = [min(e.watch_duration / e.item_duration, config.ratio_cap) for e in mine]
     return tuple(sorted({0.25, sum(ratios) / len(ratios), 0.75}))
 
 
@@ -379,23 +395,65 @@ def test_analyze_matches_reference(kind, platform):
     events = events + _stray_users(reference, investigation)
     shuffled = list(events)
     np.random.default_rng(5).shuffle(shuffled)  # type: ignore[arg-type]
-    for labeling, min_watch_seconds in product(
-        (LabelingConfig(), LabelingConfig(ratio_cap=1.2)), (0.0, 30.0)
-    ):
+    for ratio_cap, min_watch_seconds in product((1.0, 1.2), (0.0, 30.0)):
         config = CohortConfig(
-            reference, investigation, platform, min_watch_seconds=min_watch_seconds
+            reference, investigation, platform,
+            min_watch_seconds=min_watch_seconds, ratio_cap=ratio_cap,
         )
-        edges = _edges_through_a_statistic(events, config, labeling)
+        edges = _edges_through_a_statistic(events, config)
         for cohort_config, log in product(
             (config, replace(config, bucket_edges=edges)), (events, shuffled)
         ):
-            got = analyze(log, cohort_config, labeling)
-            assert got == reference_analyze(log, cohort_config, labeling), (
+            got = analyze(log, cohort_config)
+            assert got == reference_analyze(log, cohort_config), (
                 cohort_config,
-                labeling,
                 log is shuffled,
             )
             assert got.considered > 0 and got.excluded >= 2
+
+
+#: Windows over the metamorphic log's times (0 to 1770 s), with events
+#: before, between and after them, and edges that spread its users over
+#: several buckets of each platform.
+METAMORPHIC_REF, METAMORPHIC_INV = TimeWindow(300, 900), TimeWindow(900, 1500)
+METAMORPHIC_EDGES = {Platform.ECOMMERCE: (1.0, 2.0, 3.0), Platform.VIDEO: ()}
+
+
+@pytest.mark.parametrize("platform", list(Platform))
+def test_timestamp_shift_with_the_windows_keeps_the_report(platform):
+    shift = 7_777_777
+    events = metamorphic_log()
+    config = CohortConfig(METAMORPHIC_REF, METAMORPHIC_INV, platform, METAMORPHIC_EDGES[platform])
+    shifted = [replace(e, timestamp=e.timestamp + shift) for e in events]
+    shifted_config = replace(
+        config,
+        reference=TimeWindow(METAMORPHIC_REF.start + shift, METAMORPHIC_REF.end + shift),
+        investigation=TimeWindow(METAMORPHIC_INV.start + shift, METAMORPHIC_INV.end + shift),
+    )
+    report = analyze(events, config)
+    assert report.considered > 0 and report.excluded > 0
+    assert analyze(shifted, shifted_config) == report
+
+
+@pytest.mark.parametrize("platform", list(Platform))
+def test_user_disjoint_halves_add_up_to_the_whole(platform):
+    """Each bucket's users and declines, and the considered and excluded
+    counts, of the whole log are the sums over two user-disjoint halves."""
+    events = metamorphic_log()
+    config = CohortConfig(METAMORPHIC_REF, METAMORPHIC_INV, platform, METAMORPHIC_EDGES[platform])
+    first = set(sorted({e.user_id for e in events})[::2])
+    halves = [
+        analyze([e for e in events if (e.user_id in first) is side], config)
+        for side in (True, False)
+    ]
+    whole = analyze(events, config)
+    assert [(b.users, b.declines) for b in whole.buckets] == [
+        (a.users + b.users, a.declines + b.declines)
+        for a, b in zip(halves[0].buckets, halves[1].buckets)
+    ]
+    assert whole.considered == halves[0].considered + halves[1].considered
+    assert whole.excluded == halves[0].excluded + halves[1].excluded
+    assert all(half.considered > 0 for half in halves)
 
 
 class TestReportFiles:

@@ -31,8 +31,9 @@ from tolrec.labeling import (
     write_samples,
 )
 from tolrec.labeling import _first_of_instant, _list_means
+from tolrec.trainer import Objective, TrainConfig, train
 
-from conftest import label_one, random_event_log
+from conftest import label_one, long_value_id, metamorphic_log, random_event_log
 from oracles import (
     brute_force_causal_labels,
     reference_causal_extend,
@@ -695,7 +696,7 @@ def test_integer_numbers_label_and_analyze_like_floats(tmp_path, rng):
         write_events(path, written(events, kind))
         ingested = ingest_log(path).events
         assert {type(e.item_duration) for e in ingested if e.item_duration} == {kind}
-        outputs[kind] = [analyze(ingested, cohort, LabelingConfig())]
+        outputs[kind] = [analyze(ingested, cohort)]
         for mode in LabelingMode:
             result = label_log(ingested, LabelingConfig(), mode)
             write_samples(tmp_path / "samples.jsonl", result.samples)
@@ -791,7 +792,12 @@ class TestSampleSerialization:
             ),
             # As in an event file, an unknown key is named before a missing one.
             ('{"user":"u1","item":"i1","ts":5,"bta":0.5}', "line 3: unknown keys ['bta']"),
+            (
+                '{"user":"u1","item":"i1","ts":' + "5" * 5001 + ',"label":"P"}',
+                "line 3: invalid JSON (number with too many digits)",
+            ),
         ],
+        ids=long_value_id,
     )
     def test_read_rejects_naming_line(self, tmp_path, record, message):
         good = sample_to_json(LabeledSample("u1", "i1", 1, Label.NEGATIVE))
@@ -801,3 +807,54 @@ class TestSampleSerialization:
             read_samples(path)
         assert str(caught.value).startswith(message)
         assert caught.value.line_number == 3
+
+
+#: The metamorphic relations' rename and shift: one prefix before every id
+#: keeps the ids' order, and the shift is off the log's 30 s grid.
+PREFIX = "renamed/"
+SHIFT = 7_777_777
+
+
+def _renamed(records):
+    return [replace(r, user_id=PREFIX + r.user_id, item_id=PREFIX + r.item_id) for r in records]
+
+
+def _shifted(records):
+    return [replace(r, timestamp=r.timestamp + SHIFT) for r in records]
+
+
+@pytest.mark.parametrize("mode", list(LabelingMode))
+def test_order_preserving_rename_renames_the_labels_only(mode):
+    """The same prefix before every user and item id gives the same labels,
+    betas and times under the new ids, and the same profiles and global mean."""
+    events = metamorphic_log()
+    base = label_log(events, LabelingConfig(), mode)
+    renamed = label_log(_renamed(events), LabelingConfig(), mode)
+    assert renamed.samples == _renamed(base.samples)
+    assert renamed.profiles == {
+        PREFIX + user: replace(profile, user_id=PREFIX + user)
+        for user, profile in base.profiles.items()
+    }
+    assert renamed.global_mean == base.global_mean
+
+
+def test_order_preserving_rename_trains_the_same_table():
+    samples = label_log(metamorphic_log(), LabelingConfig()).samples
+    config = TrainConfig(objective=Objective.TOLERANCE_AS_WEAK_POSITIVE, epochs=2)
+    base, renamed = train(samples, config).model, train(_renamed(samples), config).model
+    assert renamed.users == {PREFIX + user: row for user, row in base.users.items()}
+    assert renamed.items == {PREFIX + item: row for item, row in base.items.items()}
+    assert renamed.table.tobytes() == base.table.tobytes()
+    assert renamed.global_bias == base.global_bias
+
+
+@pytest.mark.parametrize("mode", list(LabelingMode))
+def test_timestamp_shift_moves_the_sample_times_only(mode):
+    """A constant added to every timestamp keeps every label, beta, profile
+    and the global mean, and moves every sample's time by that constant."""
+    events = metamorphic_log()
+    base = label_log(events, LabelingConfig(), mode)
+    shifted = label_log(_shifted(events), LabelingConfig(), mode)
+    assert shifted.samples == _shifted(base.samples)
+    assert shifted.profiles == base.profiles
+    assert shifted.global_mean == base.global_mean

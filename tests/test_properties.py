@@ -166,8 +166,8 @@ labeling_configs = st.builds(
 
 @st.composite
 def cohort_cases(draw) -> tuple[list[InteractionEvent], CohortConfig]:
-    """A log and adjacent windows bounded by its instants, or just after
-    them, so that users engage in both windows."""
+    """A log, adjacent windows bounded by its instants or just after them,
+    so that users engage in both windows, and either ratio cap."""
     log = draw(logs())
     bounds = sorted({bound for e in log for bound in (e.timestamp, e.timestamp + 1)} | {0, 1, 2})
     start, split, end = sorted(draw(st.sets(st.sampled_from(bounds), min_size=3, max_size=3)))
@@ -176,6 +176,7 @@ def cohort_cases(draw) -> tuple[list[InteractionEvent], CohortConfig]:
         TimeWindow(split, end),
         draw(st.sampled_from(Platform)),
         min_watch_seconds=draw(numbers),
+        ratio_cap=draw(st.sampled_from([1.0, 2.0])),
     )
     return log, config
 
@@ -252,7 +253,7 @@ def test_labels_match_the_oracles(log, config, cuts):
 
 
 @search(100)
-@given(cohort_cases(), labeling_configs)
-def test_cohort_analysis_matches_the_reference(case, labeling):
+@given(cohort_cases())
+def test_cohort_analysis_matches_the_reference(case):
     log, config = case
-    assert analyze(log, config, labeling) == reference_analyze(log, config, labeling)
+    assert analyze(log, config) == reference_analyze(log, config)

@@ -50,7 +50,7 @@ from tolrec.labeling import (
     write_samples,
 )
 
-from conftest import random_event_log
+from conftest import long_value_id, random_event_log
 from oracles import (
     reference_event_to_json,
     reference_ingest,
@@ -114,6 +114,9 @@ ONE_FAULT = [
     "{" + ECOM + ',"actions":["retweet"]}',
     '{"user":"u1","item":"i1","ts":5,"platform":"ecommerce","clicked":false,'
     '"actions":["cart"]}',
+    # Integers longer than the interpreter converts reject their line only.
+    "{" + VIDEO + ',"watch":' + "3" * 5001 + ',"duration":10}',
+    '{"user":"u1","item":"i1","ts":' + "5" * 5001 + ',"platform":"ecommerce","clicked":true}',
 ]
 
 #: Lines with two faults: the first one in check order must be reported.
@@ -162,7 +165,7 @@ def _special_events() -> list[InteractionEvent]:
     ]
 
 
-@pytest.mark.parametrize("line", ONE_FAULT + TWO_FAULTS)
+@pytest.mark.parametrize("line", ONE_FAULT + TWO_FAULTS, ids=long_value_id)
 def test_rejection_matches_reference(line):
     expected = _outcome(reference_parse_event, line)
     assert isinstance(expected, tuple), "corpus line must be rejected"

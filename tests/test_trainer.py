@@ -693,29 +693,36 @@ class TestScoreOrdering:
         assert mean_t - mean_n > 0.05
 
 
+def catalog_of(n_items: int) -> list[LabeledSample]:
+    """Negative samples of another user that put items ``i0``.. in the
+    candidates, and draw no negatives themselves."""
+    return [sample("u2", f"i{k}", Label.NEGATIVE) for k in range(n_items)]
+
+
 class TestNegativeSampling:
     def test_adds_requested_negatives(self):
         samples = [
             sample("u1", "i1", Label.POSITIVE),
             sample("u1", "i2", Label.TOLERANCE, beta=0.5),
-        ]
-        catalog = [f"i{k}" for k in range(10)]
-        augmented = augment_with_sampled_negatives(samples, 3, catalog, seed=1)
-        added = [s for s in augmented if s.label is Label.NEGATIVE]
+        ] + catalog_of(10)
+        augmented = augment_with_sampled_negatives(samples, 3, seed=1)
+        added = augmented[len(samples):]
+        assert augmented[: len(samples)] == samples
         assert len(added) == 3
+        assert all(s.label is Label.NEGATIVE and s.user_id == "u1" for s in added)
         assert all(s.item_id not in {"i1", "i2"} for s in added)
 
     def test_deterministic(self):
-        samples = [sample("u1", "i1", Label.POSITIVE)]
-        catalog = [f"i{k}" for k in range(20)]
-        a = augment_with_sampled_negatives(samples, 5, catalog, seed=4)
-        b = augment_with_sampled_negatives(samples, 5, catalog, seed=4)
+        samples = [sample("u1", "i1", Label.POSITIVE)] + catalog_of(20)
+        a = augment_with_sampled_negatives(samples, 5, seed=4)
+        b = augment_with_sampled_negatives(samples, 5, seed=4)
+        assert len(a) == len(samples) + 5
         assert a == b
 
     def test_rejects_negative_count(self):
         samples = [sample("u1", "i1", Label.POSITIVE)]
         with pytest.raises(ValueError, match="negatives_per_positive"):
-            augment_with_sampled_negatives(samples, -1, ["i1", "i2"])
+            augment_with_sampled_negatives(samples, -1)
 
 
 class TestSnapshot:
