@@ -13,11 +13,16 @@ kept as written, int or float; :func:`_check_event` rejects ``NaN``,
 ``Infinity`` and any number beyond the float range. Unknown keys and
 unknown action strings are rejected rather than dropped, so schema drift
 surfaces early.
+
+A line in exactly the form :func:`event_to_json` writes is read by a
+compiled grammar, with no JSON decode and no dict; every other line goes
+through ``json``, and its rejections keep their messages.
 """
 
 import gc
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -223,19 +228,35 @@ def _number(record: dict, key: str, line_number: int) -> float | None:
 _decode = json.JSONDecoder().raw_decode
 _skip_space = json.decoder.WHITESPACE.match
 
+# The whole lines `event_to_json` and `sample_to_json` write. `_S` is a string
+# with nothing to unescape; `_INT` and `_NUM` are JSON's numbers, spelt with
+# `[0-9]`: in a str pattern `\d` matches any Unicode digit, and `int("٥")` is 5.
+_CHARS = r'[^"\\\x00-\x1f]*'
+_S = f'"({_CHARS})"'
+_INT = r"(-?(?:0|[1-9][0-9]*))"
+_NUM = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+_HEAD, _END = rf'\{{"user":{_S},"item":{_S},"ts":{_INT},', r"\}[ \t\n\r]*"
+_EVENT_LINE = re.compile(
+    rf'{_HEAD}"platform":"(video|ecommerce)","clicked":(true|false)'
+    rf'(?:,"watch":{_NUM},"duration":{_NUM})?'
+    rf'(?:,"actions":\[((?:"{_CHARS}"(?:,"{_CHARS}")*)?)\])?{_END}'
+).fullmatch
+_SAMPLE_LINE = re.compile(rf'{_HEAD}"label":"([PTN])"(?:,"beta":{_NUM})?{_END}').fullmatch
 
-def _read_record(
-    line: str, line_number: int, keys: frozenset, fields: itemgetter, ids: dict
-) -> tuple:
-    """The checks every record makes, in this order: valid JSON, an object,
-    no key outside ``keys``, each of ``fields`` present, string user and
-    item, integer ts. Returns the record and the values of ``fields``, which
-    start with user, item and ts; the user and item are the first equal
-    string that ``ids`` has seen, so the records of one read share each id.
-    A line that does not decode from its first character, or has more than
-    whitespace after its value, goes through ``json.loads``, which accepts
-    it or names the fault's column. An integer with more digits than the
-    interpreter converts is rejected as invalid JSON too."""
+
+def _literal(text: str) -> int | float:
+    """What ``json`` makes of the number ``text``: int unless it has a fraction or exponent."""
+    return float(text) if "." in text or "e" in text or "E" in text else int(text)
+
+
+def _read_record(line: str, line_number: int, keys: frozenset, fields: itemgetter) -> tuple:
+    """The checks of a line its grammar does not read (a canonical line skips
+    the decode), in this order: valid JSON, an object, no key outside ``keys``,
+    each of ``fields`` present, string user and item, integer ts. Returns the
+    record and the values of ``fields``. A line that does not decode from its
+    first character, or has more than whitespace after its value, goes through
+    ``json.loads``, which accepts it or names the fault's column, as before. An
+    integer with more digits than the interpreter converts is invalid JSON too."""
     try:
         record, end = _decode(line)
     except ValueError:
@@ -262,8 +283,7 @@ def _read_record(
         raise EventParseError(line_number, "user and item must be strings")
     if type(values[2]) is not int:
         raise EventParseError(line_number, "ts must be an integer")
-    user, item = values[0], values[1]
-    return record, (ids.setdefault(user, user), ids.setdefault(item, item), *values[2:])
+    return record, values
 
 
 def parse_event(line: str, line_number: int = 0) -> InteractionEvent:
@@ -279,8 +299,45 @@ def parse_event(line: str, line_number: int = 0) -> InteractionEvent:
 
 def _parse_event(line: str, line_number: int, ids: dict) -> InteractionEvent:
     """:func:`parse_event`, taking its ids from the read's table ``ids``."""
+    user, item, ts, platform, clicked, watch, duration, actions = (
+        _match_event(line) or _decode_event(line, line_number)
+    )
+    event = _new(InteractionEvent)
+    _set(event, "user_id", ids.setdefault(user, user))
+    _set(event, "item_id", ids.setdefault(item, item))
+    _set(event, "timestamp", ts)
+    _set(event, "platform", platform)
+    _set(event, "clicked", clicked)
+    _set(event, "watch_duration", watch)
+    _set(event, "item_duration", duration)
+    if actions:  # the table's set; a set with an unknown action is its own
+        actions = frozenset(actions)
+        actions = _ACTION_SETS.get(actions, actions)
+    _set(event, "followup_actions", actions or _NO_ACTIONS)
+    _check_event(event)
+    return event
+
+
+def _match_event(line: str) -> tuple | None:
+    """The fields of a line that :data:`_EVENT_LINE` matches, or None."""
+    match = _EVENT_LINE(line)
+    if match is None:
+        return None
+    user, item, ts, platform, clicked, watch, duration, actions = match.groups()
+    try:
+        ts = int(ts)
+        if watch is not None:
+            watch, duration = _literal(watch), _literal(duration)
+    except ValueError:  # the int digit limit: `_read_record` rejects the line
+        return None
+    actions = actions and actions[1:-1].split('","')
+    return user, item, ts, _PLATFORMS[platform], clicked == "true", watch, duration, actions
+
+
+def _decode_event(line: str, line_number: int) -> tuple:
+    """The fields of any other line, decoded by ``json`` and type-checked."""
     record, (user, item, ts, platform, clicked) = _read_record(
-        line, line_number, _EVENT_KEYS, _EVENT_FIELDS, ids
+        line, line_number, _EVENT_KEYS, _EVENT_FIELDS
     )
     if type(clicked) is not bool:
         raise EventParseError(line_number, "clicked must be a boolean")
@@ -294,21 +351,8 @@ def _parse_event(line: str, line_number: int, ids: dict) -> InteractionEvent:
     if actions is not _NO_ACTIONS:
         if type(actions) is not list or not all(type(a) is str for a in actions):
             raise EventParseError(line_number, "actions must be an array of strings")
-        actions = frozenset(actions)
-        actions = _ACTION_SETS.get(actions, actions)  # a set with an unknown action is its own
-    watch = _number(record, "watch", line_number)
-    duration = _number(record, "duration", line_number)
-    event = _new(InteractionEvent)
-    _set(event, "user_id", user)
-    _set(event, "item_id", item)
-    _set(event, "timestamp", ts)
-    _set(event, "platform", platform)
-    _set(event, "clicked", clicked)
-    _set(event, "watch_duration", watch)
-    _set(event, "item_duration", duration)
-    _set(event, "followup_actions", actions)
-    _check_event(event)
-    return event
+    numbers = _number(record, "watch", line_number), _number(record, "duration", line_number)
+    return user, item, ts, platform, clicked, *numbers, actions
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -387,7 +431,7 @@ def ingest_log(path: str | Path) -> IngestResult:
     with _paused_gc():
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
-                if not line.strip():
+                if not line.strip(" \t\n\r"):  # JSON's whitespace only
                     continue
                 try:
                     events.append(_parse_event(line, number, ids))

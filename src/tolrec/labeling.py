@@ -30,7 +30,8 @@ import math
 import numpy as np
 
 from .events import EventParseError, InteractionEvent, Platform
-from .events import _check_types, _json_number, _json_string, _new, _paused_gc, _read_record, _set
+from .events import _SAMPLE_LINE, _check_types, _json_number, _json_string, _literal, _new
+from .events import _paused_gc, _read_record, _set
 
 
 class Label(Enum):
@@ -534,13 +535,10 @@ def parse_sample(line: str, line_number: int = 0) -> LabeledSample:
 
 def _parse_sample(line: str, line_number: int, ids: dict) -> LabeledSample:
     """:func:`parse_sample`, taking its ids from the read's table ``ids``."""
-    record, (user, item, ts, label) = _read_record(
-        line, line_number, _SAMPLE_KEYS, _SAMPLE_FIELDS, ids
-    )
+    user, item, ts, label, beta = _match_sample(line) or _decode_sample(line, line_number)
     kind = _LABELS.get(label) if type(label) is str else None
     if kind is None:
         raise EventParseError(line_number, f"unknown label {label!r}")
-    beta = record.get("beta")
     if kind is Label.TOLERANCE:
         if beta is None:
             raise EventParseError(line_number, "label 'T' needs a beta")
@@ -550,12 +548,29 @@ def _parse_sample(line: str, line_number: int, ids: dict) -> LabeledSample:
         raise EventParseError(line_number, f"beta given for label {label!r}")
 
     sample = _new(LabeledSample)
-    _set(sample, "user_id", user)
-    _set(sample, "item_id", item)
+    _set(sample, "user_id", ids.setdefault(user, user))
+    _set(sample, "item_id", ids.setdefault(item, item))
     _set(sample, "timestamp", ts)
     _set(sample, "label", kind)
     _set(sample, "beta", beta)
     return sample
+
+
+def _match_sample(line: str) -> tuple | None:
+    """The fields of a line in :func:`sample_to_json`'s form, or None."""
+    match = _SAMPLE_LINE(line)
+    if match is None:
+        return None
+    user, item, ts, label, beta = match.groups()
+    try:
+        return user, item, int(ts), label, beta if beta is None else _literal(beta)
+    except ValueError:  # the int digit limit: `_read_record` rejects the line
+        return None
+
+
+def _decode_sample(line: str, line_number: int) -> tuple:
+    record, values = _read_record(line, line_number, _SAMPLE_KEYS, _SAMPLE_FIELDS)
+    return *values, record.get("beta")
 
 
 def write_samples(path: str | Path, samples: list[LabeledSample]) -> None:
@@ -565,10 +580,13 @@ def write_samples(path: str | Path, samples: list[LabeledSample]) -> None:
 
 
 def read_samples(path: str | Path) -> list[LabeledSample]:
+    """The samples of a file, skipping lines of JSON whitespace only; raises
+    :class:`EventParseError` at the first bad line. A line just as :func:`sample_to_json`
+    writes it skips the JSON decode; any other goes through ``json``, messages unchanged."""
     ids: dict[str, str] = {}  # one string per id for this read's samples only
     with open(path, encoding="utf-8") as handle, _paused_gc():
         numbered = enumerate(handle, start=1)
-        return [_parse_sample(line, number, ids) for number, line in numbered if line.strip()]
+        return [_parse_sample(line, k, ids) for k, line in numbered if line.strip(" \t\n\r")]
 
 
 def write_profiles(path: str | Path, profiles: dict[str, UserProfile]) -> None:

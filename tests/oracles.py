@@ -627,10 +627,8 @@ def _reference_require(record: dict, key: str, line_number: int):
     return record[key]
 
 
-def reference_parse_event(line: str, line_number: int = 0) -> InteractionEvent:
-    """``parse_event`` as it was: type checks here, then the event
-    invariants, with the fields set directly so that the current
-    constructor's checks play no part."""
+def _reference_record(line: str, line_number: int, keys: set) -> dict:
+    """The JSON object of a record line with no key outside ``keys``."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -645,12 +643,21 @@ def reference_parse_event(line: str, line_number: int = 0) -> InteractionEvent:
         ) from exc
     if not isinstance(record, dict):
         raise EventParseError(line_number, "record must be a JSON object")
-    unknown = set(record) - {
-        "user", "item", "ts", "platform", "clicked", "watch", "duration", "actions"
-    }
+    unknown = set(record) - keys
     if unknown:
         raise EventParseError(line_number, f"unknown keys {sorted(unknown)}")
+    return record
 
+
+def reference_parse_event(line: str, line_number: int = 0) -> InteractionEvent:
+    """``parse_event`` as it was: type checks here, then the event
+    invariants, with the fields set directly so that the current
+    constructor's checks play no part."""
+    record = _reference_record(
+        line,
+        line_number,
+        {"user", "item", "ts", "platform", "clicked", "watch", "duration", "actions"},
+    )
     user = _reference_require(record, "user", line_number)
     item = _reference_require(record, "item", line_number)
     ts = _reference_require(record, "ts", line_number)
@@ -704,7 +711,7 @@ def reference_ingest(path) -> tuple[list[InteractionEvent], list[tuple[int, str]
     events, rejected = [], []
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
-            if not line.strip():
+            if not line.strip(" \t\n\r"):  # JSON's whitespace; "\x0c" is no blank line
                 continue
             try:
                 events.append(reference_parse_event(line, number))
@@ -742,15 +749,30 @@ def reference_sample_to_json(sample: LabeledSample) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def reference_parse_sample(line: str) -> LabeledSample:
-    record = json.loads(line)
-    return LabeledSample(
-        user_id=record["user"],
-        item_id=record["item"],
-        timestamp=record["ts"],
-        label=Label(record["label"]),
-        beta=record.get("beta"),
-    )
+def reference_parse_sample(line: str, line_number: int = 0) -> LabeledSample:
+    """One sample record through ``json.loads`` and a dict: each check in
+    ``parse_sample``'s order and with its message, then the constructor."""
+    record = _reference_record(line, line_number, {"user", "item", "ts", "label", "beta"})
+    user = _reference_require(record, "user", line_number)
+    item = _reference_require(record, "item", line_number)
+    ts = _reference_require(record, "ts", line_number)
+    label = _reference_require(record, "label", line_number)
+    if not isinstance(user, str) or not isinstance(item, str):
+        raise EventParseError(line_number, "user and item must be strings")
+    if isinstance(ts, bool) or not isinstance(ts, int):
+        raise EventParseError(line_number, "ts must be an integer")
+    if label not in ("P", "T", "N"):
+        raise EventParseError(line_number, f"unknown label {label!r}")
+    beta = record.get("beta")
+    if label == "T":
+        if beta is None:
+            raise EventParseError(line_number, "label 'T' needs a beta")
+        number = isinstance(beta, (int, float)) and not isinstance(beta, bool)
+        if not number or not 0.0 <= beta <= 1.0:
+            raise EventParseError(line_number, f"beta {beta!r} outside [0, 1]")
+    elif beta is not None:
+        raise EventParseError(line_number, f"beta given for label {label!r}")
+    return LabeledSample(user, item, ts, Label(label), beta)
 
 
 def reference_write_profiles(path, profiles: dict[str, UserProfile]) -> None:

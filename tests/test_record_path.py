@@ -63,6 +63,9 @@ from oracles import (
 VIDEO = '"user":"u1","item":"v1","ts":5,"platform":"video","clicked":true'
 ECOM = '"user":"u1","item":"i1","ts":5,"platform":"ecommerce","clicked":true'
 
+#: Characters that `str.strip` removes and JSON does not admit as whitespace.
+WHITESPACE_NOT_JSON = ["\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\u3000", "\u3000 "]
+
 #: One line per rejection the parser can make.
 ONE_FAULT = [
     "{not json",
@@ -74,6 +77,8 @@ ONE_FAULT = [
     "{" + ECOM + "}\x0c",
     "{" + ECOM + "}\u3000",
     "\ufeff{" + ECOM + "}",
+    # Whitespace to `str.strip` but not to JSON: no blank line, alone or not.
+    *WHITESPACE_NOT_JSON,
     "[1, 2]",
     '"text"',
     "null",
@@ -177,8 +182,8 @@ def test_actions_checked_before_watch():
         parse_event(TWO_FAULTS[0])
 
 
-#: Lines that ``str.strip`` empties, so ingest skips them but still counts them.
-BLANK_LINES = ["", " ", "\t  ", "\x0c", "\u3000 "]
+#: Lines of JSON whitespace only, which ingest skips but still counts.
+BLANK_LINES = ["", " ", "\t  ", " \t "]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -362,6 +367,15 @@ def test_sample_round_trip_matches_reference(tmp_path):
     assert read_samples(path) == [reference_parse_sample(line) for line in expected]
     assert read_samples(path) == samples
     assert [parse_sample(line) for line in expected] == samples
+
+
+@pytest.mark.parametrize("blank", WHITESPACE_NOT_JSON)
+def test_read_samples_rejects_lines_of_other_whitespace(tmp_path, blank):
+    good = sample_to_json(LabeledSample("u1", "i1", 1, Label.NEGATIVE))
+    path = tmp_path / "samples.jsonl"
+    path.write_text(f"{good}\n \t\n{blank}\n{good}\n", encoding="utf-8")
+    with pytest.raises(EventParseError, match="^line 3: invalid JSON"):
+        read_samples(path)
 
 
 def test_read_samples_accepts_whitespace_around_records(tmp_path):
