@@ -2,13 +2,15 @@
 
 Every command accepts ``--config FILE`` (a JSON object whose keys mirror
 the long flag names with dashes replaced by underscores); explicit flags
-override the file, which overrides built-in defaults. Config-file values
-are checked like flags (type, choices, ``null`` only where the default is
-``null``) but not converted, and a failed check names the key. Each
-option is declared once, in ``OPTIONS``. Each output file
-gets a ``<name>.manifest.json`` sidecar recording the resolved
-configuration, input digests, tool version, and seed, so identical
-manifests imply identical outputs.
+override the file, which overrides built-in defaults. An option that sets
+a config field takes its default from that field, and ``simulate``'s
+training options take theirs from ``simulation.SIM_TRAINING``. Config-file
+values are checked like flags (type, choices, ``null`` only where the
+default is ``null``) but not converted, and a failed check names the key.
+Each option is declared once, in ``OPTIONS``. Each output file gets a
+``<name>.manifest.json`` sidecar recording the resolved configuration,
+input digests, tool version, and seed, so identical manifests imply
+identical outputs.
 """
 
 import argparse
@@ -18,16 +20,18 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
+from enum import EnumMeta
 from pathlib import Path
 
 from . import __version__
 from .cohort import COHORT_HEADER, CohortConfig, analyze, write_plot_data, write_report
 from .events import InteractionEvent, Platform, TimeWindow, _type_test, ingest_log
 from .labeling import (
+    BETA_BASELINES,
     LabelingConfig,
     LabelingMode,
-    RuleMode,
     label_log,
     read_samples,
     write_profiles,
@@ -35,6 +39,7 @@ from .labeling import (
 )
 from .simulation import (
     DAILY_REPORT_HEADER,
+    SIM_TRAINING,
     SimConfig,
     simulate_experiment,
     write_daily_report,
@@ -106,16 +111,51 @@ def _choices(enum) -> list[str]:
     return [member.value for member in enum]
 
 
+#: Config field -> its option, where the names differ.
+_OPTION_NAMES = {
+    "rule_mode": "rule", "duration_bucket_edges": "buckets", "bucket_edges": "buckets",
+    "learning_rate": "lr", "dimension": "dim", "fixed_beta": "beta",
+    "slate_size": "slate", "candidate_pool": "pool", "surface_true_correlation": "rho",
+    "reference": "ref", "investigation": "inv",
+}
+#: Annotation -> the parse of a flag whose form differs from the field's value.
+_PARSERS = {tuple[float, ...]: _parse_edges, float | None: _parse_beta, TimeWindow: parse_window}
+#: The choices of a ``str`` field.
+_FIELD_CHOICES = {"beta_baseline": list(BETA_BASELINES)}
+
+
+def _field_options(cls, base=None, skip=(), **given) -> dict[str, tuple]:
+    """An option per field of ``cls`` not in ``skip``: the field's default
+    (``base``'s value, if given) and its annotation, an enum's as its values.
+    ``given`` maps an option to its help, or to its whole entry where the flag
+    form differs (``_PARSERS``) or the field has no default."""
+    options = {}
+    for f in fields(cls):
+        if (name := _OPTION_NAMES.get(f.name, f.name)) in skip:
+            continue
+        entry = given.get(name)
+        if not isinstance(entry, tuple):
+            default = getattr(base, f.name) if base else f.default
+            kind = _FIELD_CHOICES.get(f.name, f.type)
+            if isinstance(f.type, EnumMeta):
+                default, kind = default.value, _choices(f.type)
+            entry = (default, kind, entry)
+        options[name] = entry
+    return options
+
+
 _OBJECTIVES = _choices(Objective)
 _OUT = {"out": (..., str, "primary output file")}
 _BETA = ("from-samples", str, "'from-samples' or 'fixed:<v>'")
-_RULE = ("ratio-or-action", _choices(RuleMode))
 #: Kept so manifest configs stay as they were; ingest is one serial pass.
 _THREADS = (1, int, "must be 1: ingest is serial, since JSON parsing holds the GIL")
 
 #: Every option of every command: ``name -> (default, kind[, help])``.
 #: ``kind`` is ``int``, ``float``, ``str``, ``bool`` (a bare switch) or a
-#: list of choices; a default of ``...`` marks a required flag. The flag is
+#: list of choices; a default of ``...`` marks a required flag. An option
+#: that sets a config field reads its default and kind from the field
+#: (``_field_options``); only ``--buckets`` and ``--beta``, whose form
+#: differs, and analyze's ``--platform`` write theirs here. The flag is
 #: ``--name`` with dashes for underscores unless ``_FLAG_NAMES`` says
 #: otherwise. CLI flags override the config file, which overrides these
 #: defaults; everything lands in the manifest fully materialized.
@@ -123,64 +163,39 @@ OPTIONS: dict[str, dict[str, tuple]] = {
     "label": _OUT | {
         "events": (..., str, "event JSONL file"),
         "mode": ("causal", _choices(LabelingMode)),
-        "rule": _RULE,
-        "buckets": ("60,300", str, "duration bucket edges, e.g. 60,300"),
-        "min_history": (5, int),
-        "ratio_cap": (1.0, float),
-        "beta_baseline": ("user", ["user", "population"]),
+        **_field_options(
+            LabelingConfig, buckets=("60,300", str, "duration bucket edges, e.g. 60,300")
+        ),
         "profiles_out": (None, str, "profile snapshot path"),
         "threads": _THREADS,
     },
     "train": _OUT | {
         "samples": (..., str, "labeled sample JSONL file"),
-        "objective": ("standard", _OBJECTIVES),
-        "beta": _BETA,
-        "lr": (0.1, float),
-        "epochs": (20, int),
-        "dim": (8, int),
-        "l2": (0.0, float),
-        "batch_size": (256, int),
-        "seed": (0, int),
+        **_field_options(TrainConfig, beta=_BETA),
         "neg_sample": (
-            0,
-            int,
-            "sample this many negatives per positive (logs without impressions)",
+            0, int, "sample this many negatives per positive (logs without impressions)"
         ),
         "history_out": (None, str, "loss history CSV path"),
     },
     "analyze": _OUT | {
         "events": (..., str),
-        "ref": (..., str, "reference window, ISO..ISO"),
-        "inv": (..., str, "investigation window, ISO..ISO"),
-        "platform": ("video", _choices(Platform)),
-        "buckets": ("", str, "tolerance-stat bucket edges"),
-        "ratio_cap": (1.0, float),
-        "min_watch_seconds": (0.0, float),
+        **_field_options(
+            CohortConfig,
+            ref=(..., str, "reference window, ISO..ISO"),
+            inv=(..., str, "investigation window, ISO..ISO"),
+            platform=("video", _choices(Platform)),
+            buckets=("", str, "tolerance-stat bucket edges"),
+        ),
         "plot_out": (None, str),
         "threads": _THREADS,
     },
     "simulate": _OUT | {
         "seeds": (1, int, "number of paired seeds"),
-        "seed": (0, int, "base seed"),
         "obj_a": ("standard", _OBJECTIVES),
         "obj_b": ("tol-weak", _OBJECTIVES),
-        "beta": _BETA,
-        "days": (7, int),
-        "population": (100, int),
-        "catalog": (200, int),
-        "slate": (10, int),
-        "pool": (40, int),
-        "dim": (8, int),
-        "temperature": (1.0, float),
-        "rho": (0.3, float, "surface/content correlation"),
-        "trust_decay": (0.05, float),
-        "trust_recovery": (0.005, float),
-        "lr": (0.3, float),
-        "epochs": (30, int),
-        "l2": (1e-4, float),
-        "batch_size": (256, int),
-        "warm_start": (False, bool),
-        "rule": _RULE,
+        **_field_options(SimConfig, seed="base seed", rho="surface/content correlation"),
+        # Each arm sets its objective and seed; --dim sets both dimensions.
+        **_field_options(TrainConfig, SIM_TRAINING, ("objective", "seed", "dim"), beta=_BETA),
     },
     "report": _OUT | {
         "analyze": (None, str, "cohort report CSV"),
@@ -293,35 +308,23 @@ def _check_paths(resolved: dict, config: str | None) -> None:
             raise ValueError(f"{name} and {other} name the same file {path!r}")
 
 
-def _parsed(resolved: dict, name: str, parse):
-    """``parse(resolved[name])``, a failure named by its option."""
-    try:
-        return parse(resolved[name])
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
-def _labeling_config(resolved: dict) -> LabelingConfig:
-    return LabelingConfig(
-        rule_mode=RuleMode(resolved["rule"]),
-        duration_bucket_edges=_parsed(resolved, "buckets", _parse_edges),
-        min_history=resolved["min_history"],
-        ratio_cap=resolved["ratio_cap"],
-        beta_baseline=resolved["beta_baseline"],
-    )
-
-
-def _train_config(resolved: dict, objective: str, seed: int) -> TrainConfig:
-    return TrainConfig(
-        objective=Objective(objective),
-        learning_rate=resolved["lr"],
-        epochs=resolved["epochs"],
-        dimension=resolved["dim"],
-        l2=resolved["l2"],
-        seed=seed,
-        fixed_beta=_parsed(resolved, "beta", _parse_beta),
-        batch_size=resolved["batch_size"],
-    )
+def _config(cls, resolved: dict, **given):
+    """``cls`` built from the options its fields read, each flag form parsed
+    and a failure named by its option; ``given`` sets fields outright."""
+    values = {}
+    for f in fields(cls):
+        if (name := _OPTION_NAMES.get(f.name, f.name)) not in resolved:
+            continue
+        value = resolved[name]
+        try:
+            if f.type in _PARSERS:
+                value = _PARSERS[f.type](value)
+            elif isinstance(f.type, EnumMeta):
+                value = f.type(value)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        values[f.name] = value
+    return cls(**values | given)
 
 
 def _ingest(resolved: dict) -> list[InteractionEvent]:
@@ -335,7 +338,7 @@ def _ingest(resolved: dict) -> list[InteractionEvent]:
 
 
 def _cmd_label(resolved: dict) -> dict:
-    config = _labeling_config(resolved)
+    config = _config(LabelingConfig, resolved)
     mode = LabelingMode(resolved["mode"])
     labeled = label_log(_ingest(resolved), config, mode)
     return {
@@ -345,7 +348,7 @@ def _cmd_label(resolved: dict) -> dict:
 
 
 def _cmd_train(resolved: dict) -> dict:
-    config = _train_config(resolved, resolved["objective"], resolved["seed"])
+    config = _config(TrainConfig, resolved)
     if resolved["neg_sample"] < 0:
         raise ValueError(f"neg_sample must be non-negative, got {resolved['neg_sample']}")
     samples = read_samples(resolved["samples"])
@@ -363,14 +366,7 @@ def _cmd_train(resolved: dict) -> dict:
 
 
 def _cmd_analyze(resolved: dict) -> dict:
-    config = CohortConfig(
-        reference=_parsed(resolved, "ref", parse_window),
-        investigation=_parsed(resolved, "inv", parse_window),
-        platform=Platform(resolved["platform"]),
-        bucket_edges=_parsed(resolved, "buckets", _parse_edges),
-        min_watch_seconds=resolved["min_watch_seconds"],
-        ratio_cap=resolved["ratio_cap"],
-    )
+    config = _config(CohortConfig, resolved)
     report = analyze(_ingest(resolved), config)
     if report.empty:
         print("warning: no users with reference-window engagement", file=sys.stderr)
@@ -382,27 +378,10 @@ def _cmd_simulate(resolved: dict) -> dict:
         raise ValueError(f"seeds must be >= 1, got {resolved['seeds']}")
     runs = []
     for seed in range(resolved["seed"], resolved["seed"] + resolved["seeds"]):
-        config = SimConfig(
-            population=resolved["population"],
-            catalog=resolved["catalog"],
-            days=resolved["days"],
-            slate_size=resolved["slate"],
-            candidate_pool=resolved["pool"],
-            dimension=resolved["dim"],
-            temperature=resolved["temperature"],
-            surface_true_correlation=resolved["rho"],
-            trust_decay=resolved["trust_decay"],
-            trust_recovery=resolved["trust_recovery"],
-            seed=seed,
-            warm_start=resolved["warm_start"],
-            rule_mode=RuleMode(resolved["rule"]),
-        )
-        report = simulate_experiment(
-            _train_config(resolved, resolved["obj_a"], seed),
-            _train_config(resolved, resolved["obj_b"], seed),
-            config,
-        )
-        runs.append((seed, report))
+        config = _config(SimConfig, resolved, seed=seed)
+        arms = [_config(TrainConfig, resolved, objective=Objective(resolved[arm]), seed=seed)
+                for arm in ("obj_a", "obj_b")]
+        runs.append((seed, simulate_experiment(*arms, config)))
     return {"out": (write_daily_report, runs)}
 
 

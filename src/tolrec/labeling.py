@@ -71,6 +71,8 @@ VIDEO_POSITIVE_ACTIONS = frozenset({"like", "comment", "share", "follow"})
 
 #: Global-mean value used before any watch ratio has been observed.
 GLOBAL_MEAN_SEED = 0.5
+#: What a tolerance sample's beta is graded against: ``LabelingConfig.beta_baseline``.
+BETA_BASELINES = ("user", "population")
 
 
 def check_edges(name: str, edges: tuple[float, ...]) -> None:
@@ -98,8 +100,8 @@ class LabelingConfig:
             raise ValueError("min_history must be at least 1")
         if not self.ratio_cap > 0:
             raise ValueError("ratio_cap must be positive")
-        if self.beta_baseline not in ("user", "population"):
-            raise ValueError("beta_baseline must be 'user' or 'population'")
+        if self.beta_baseline not in BETA_BASELINES:
+            raise ValueError("beta_baseline must be " + " or ".join(map(repr, BETA_BASELINES)))
 
     @property
     def bucket_count(self) -> int:

@@ -151,6 +151,11 @@ class SimConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
+#: Both arms' training settings, but for objective and seed: ``tolrec simulate``
+#: defaults to them and the acceptance criteria run them.
+SIM_TRAINING = TrainConfig(learning_rate=0.3, epochs=30, l2=1e-4)
+
+
 def generate_population(config: SimConfig) -> Population:
     """The seeded world of ``config``.
 

@@ -3,6 +3,7 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,15 +82,8 @@ def shared_arms(_arm_cache, monkeypatch):
 
 
 def sim_train_config(objective: Objective, seed: int) -> TrainConfig:
-    return TrainConfig(
-        objective=objective,
-        learning_rate=0.3,
-        epochs=30,
-        dimension=8,
-        l2=1e-4,
-        seed=seed,
-        batch_size=256,
-    )
+    """One arm's training config: the settings ``tolrec simulate`` runs at its defaults."""
+    return replace(simulation.SIM_TRAINING, objective=objective, seed=seed)
 
 
 def test_criterion_01_weak_positive_reduces_to_standard():

@@ -9,11 +9,17 @@ from pathlib import Path
 import pytest
 
 import tolrec
+from tolrec import cli
 from tolrec.cli import OPTIONS, _outputs, _resolve, build_parser, main, parse_window
-from tolrec.events import write_events
+from tolrec.cohort import CohortConfig
+from tolrec.events import Platform, write_events
 from tolrec.fixtures import generate_fixture_events
+from tolrec.labeling import LabelingConfig, LabelingMode
+from tolrec.simulation import SimConfig
+from tolrec.trainer import Objective, TrainConfig
 
 from conftest import long_value_id
+from test_acceptance import sim_train_config
 
 
 @pytest.fixture
@@ -147,6 +153,24 @@ class TestLabelCommand:
         ) == 1
         assert list(tmp_path.iterdir()) == []
         assert "min_history" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--profiles-out"])
+    def test_output_that_is_a_directory_fails_and_is_kept(
+        self, tmp_path, event_file, capsys, flag
+    ):
+        """The write fails, and so does the cleanup's unlink of the directory;
+        the run reports the write's error alone and leaves the directory be."""
+        directory = tmp_path / "taken"
+        directory.mkdir()
+        (directory / "kept.txt").write_text("kept")
+        before = sorted(tmp_path.iterdir())
+        samples = directory if flag == "--out" else tmp_path / "samples.jsonl"
+        profiles = directory if flag == "--profiles-out" else tmp_path / "profiles"
+        argv = ("--events", event_file, "--out", samples, "--profiles-out", profiles)
+        assert run("label", *argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(directory)!r}\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert [p.name for p in directory.iterdir()] == ["kept.txt"]
 
 
 class TestConfigFile:
@@ -332,6 +356,57 @@ class TestConfigFile:
         assert json.dumps(resolved, sort_keys=True) == json.dumps(
             {**self.DEFAULTS[command], **required}, sort_keys=True
         )
+
+
+class TestCommandDefaults:
+    """Each command at its defaults builds its config classes' defaults, the
+    literal-form `--buckets` and `--beta` included, and `simulate` trains
+    both arms as the acceptance criteria do (`sim_train_config`)."""
+
+    @staticmethod
+    def calls(monkeypatch, target, *argv) -> list[tuple]:
+        """The arguments ``cli.<target>`` receives in ``main(argv)``; the
+        first call ends the run."""
+        calls = []
+
+        def capture(*args):
+            calls.append(args)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(cli, target, capture)
+        assert run(*argv) == 1
+        return calls
+
+    def test_label(self, monkeypatch, tmp_path, event_file):
+        argv = ("label", "--events", event_file, "--out", tmp_path / "o")
+        [(_, config, mode)] = self.calls(monkeypatch, "label_log", *argv)
+        assert (config, mode) == (LabelingConfig(), LabelingMode.CAUSAL)
+
+    def test_train(self, monkeypatch, tmp_path):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text("")
+        argv = ("train", "--samples", samples, "--out", tmp_path / "o")
+        [(_, config)] = self.calls(monkeypatch, "train", *argv)
+        assert config == TrainConfig()
+
+    def test_analyze(self, monkeypatch, tmp_path, event_file):
+        argv = ("analyze", "--events", event_file, "--out", tmp_path / "o", *_WINDOWS)
+        [(_, config)] = self.calls(monkeypatch, "analyze", *argv)
+        ref, inv = (parse_window(text) for text in _WINDOWS[1::2])
+        assert config == CohortConfig(ref, inv, Platform.VIDEO)
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["no-flags", "sim-paired"])
+    def test_simulate_trains_as_the_acceptance_criteria(self, monkeypatch, tmp_path, paired):
+        argv = ["simulate", "--out", tmp_path / "daily.csv"]
+        if paired:  # the benchmark's sim-paired command at seed 0
+            config = tmp_path / "simulate.json"
+            config.write_text('{"seed": 0}\n')
+            argv += ["--config", config, "--objA", "standard", "--objB", "tol-weak"]
+        assert self.calls(monkeypatch, "simulate_experiment", *argv) == [(
+            sim_train_config(Objective.STANDARD, 0),
+            sim_train_config(Objective.TOLERANCE_AS_WEAK_POSITIVE, 0),
+            SimConfig(),
+        )]
 
 
 class TestTrainCommand:

@@ -13,6 +13,7 @@ from tolrec.events import (
     Platform,
     TimeWindow,
     _sum_floats,
+    _type_test,
     event_to_json,
     ingest_log,
     parse_event,
@@ -433,3 +434,12 @@ def test_mistyped_value_fails_by_name(instance, changes, message):
     with pytest.raises(ValueError) as error:
         replace(instance, **changes)
     assert str(error.value) == message
+
+
+@pytest.mark.parametrize("kind", [list[int], int | str], ids=["list", "union"])
+def test_annotation_without_a_rule_fails_naming_it(kind):
+    """An annotation the type rule does not cover is an error, not a test
+    that admits every value."""
+    with pytest.raises(TypeError) as error:
+        _type_test(kind)
+    assert str(error.value) == f"no type rule for the annotation {kind!r}"

@@ -719,6 +719,18 @@ class TestNegativeSampling:
         assert len(a) == len(samples) + 5
         assert a == b
 
+    def test_user_who_saw_the_whole_catalog_draws_none(self):
+        """A user whose samples cover every item has no candidate left: no
+        negative is added for them, and the other users still draw theirs."""
+        samples = [sample("u1", f"i{k}", Label.POSITIVE) for k in range(4)]
+        samples += [sample("u3", "i0", Label.POSITIVE)] + catalog_of(4)
+        augmented = augment_with_sampled_negatives(samples, 2, seed=3)
+        added = augmented[len(samples):]
+        assert augmented[: len(samples)] == samples
+        assert [(s.user_id, s.label) for s in added] == [("u3", Label.NEGATIVE)] * 2
+        assert "i0" not in {s.item_id for s in added}
+        assert augmented == augment_with_sampled_negatives(samples, 2, seed=3)
+
     def test_rejects_negative_count(self):
         samples = [sample("u1", "i1", Label.POSITIVE)]
         with pytest.raises(ValueError, match="negatives_per_positive"):
