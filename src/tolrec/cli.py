@@ -128,7 +128,8 @@ def _field_options(cls, base=None, skip=(), **given) -> dict[str, tuple]:
     """An option per field of ``cls`` not in ``skip``: the field's default
     (``base``'s value, if given) and its annotation, an enum's as its values.
     ``given`` maps an option to its help, or to its whole entry where the flag
-    form differs (``_PARSERS``) or the field has no default."""
+    form differs (``_PARSERS``) or the field has no default; a ``given``
+    name that is no option of ``cls`` raises."""
     options = {}
     for f in fields(cls):
         if (name := _OPTION_NAMES.get(f.name, f.name)) in skip:
@@ -141,6 +142,8 @@ def _field_options(cls, base=None, skip=(), **given) -> dict[str, tuple]:
                 default, kind = default.value, _choices(f.type)
             entry = (default, kind, entry)
         options[name] = entry
+    if unused := sorted(given.keys() - options.keys()):
+        raise ValueError(f"{cls.__name__} has no field with the option {unused[0]!r}")
     return options
 
 

@@ -407,8 +407,6 @@ def augment_with_sampled_negatives(
         if pool is None:
             pool = [it for it in catalog if it not in seen[sample.user_id]]
             pools[sample.user_id] = pool
-        if not pool:
-            continue
         take = min(negatives_per_positive, len(pool))
         for j in rng.choice(len(pool), size=take, replace=False):
             out.append(

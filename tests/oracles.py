@@ -585,6 +585,56 @@ def reference_train(
 
 
 # ---------------------------------------------------------------------------
+# The fixture generator as it was before its numpy scalar calls were replaced.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_ECOM_ACTIONS = ("cart", "favorite", "purchase")
+_REFERENCE_VIDEO_ACTIONS = ("like", "comment", "share", "follow")
+
+
+def reference_fixture_events(
+    n_events: int = 10_000,
+    n_users: int = 120,
+    n_items: int = 400,
+    seed: int = 7,
+) -> list[InteractionEvent]:
+    """``generate_fixture_events`` as it was: ``np.round``, ``np.clip`` and
+    ``np.log`` on every event, and every id and action set built anew."""
+    start, span = 1_717_200_000, 14 * 86_400
+    rng = np.random.default_rng(seed)
+    patience = rng.uniform(0.3, 0.9, n_users)
+    events = []
+    for _ in range(n_events):
+        u = int(rng.integers(n_users))
+        user_id = f"u{u:04d}"
+        item_id = f"i{int(rng.integers(n_items)):04d}"
+        timestamp = start + int(rng.integers(span // 600)) * 600
+        if rng.random() < 0.7:
+            platform, vocabulary = Platform.VIDEO, _REFERENCE_VIDEO_ACTIONS
+            duration = float(np.round(np.exp(rng.uniform(np.log(10), np.log(900))), 1))
+            clicked = bool(rng.random() < 0.75)
+            watch = 0.0
+            if clicked:
+                ratio = float(np.clip(patience[u] + rng.normal(0.0, 0.25), 0.0, 1.2))
+                watch = float(np.round(ratio * duration, 2))
+            act = clicked and rng.random() < 0.15
+        else:
+            platform, vocabulary = Platform.ECOMMERCE, _REFERENCE_ECOM_ACTIONS
+            duration = watch = None
+            clicked = bool(rng.random() < 0.55)
+            act = clicked and rng.random() < 0.35
+        actions = (
+            frozenset({vocabulary[int(rng.integers(len(vocabulary)))]}) if act else frozenset()
+        )
+        events.append(
+            InteractionEvent(
+                user_id, item_id, timestamp, platform, clicked, watch, duration, actions
+            )
+        )
+    return events
+
+
+# ---------------------------------------------------------------------------
 # The record path as it was before it was checked once and formatted by hand:
 # every record went through ``json.dumps`` and the validating constructors.
 # ---------------------------------------------------------------------------

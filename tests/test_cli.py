@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import shutil
@@ -356,6 +357,18 @@ class TestConfigFile:
         assert json.dumps(resolved, sort_keys=True) == json.dumps(
             {**self.DEFAULTS[command], **required}, sort_keys=True
         )
+
+    def test_option_table_slip_fails_naming_class_and_name(self):
+        with pytest.raises(ValueError, match="^LabelingConfig .* 'bucket_edgez'$"):
+            cli._field_options(LabelingConfig, bucket_edgez=("", str, "bucket edges"))
+
+    def test_option_table_builds_as_imported(self):
+        """A fresh import of the module builds ``OPTIONS`` without a table
+        slip, equal to the one the commands run."""
+        spec = importlib.util.spec_from_file_location("tolrec._fresh_cli", cli.__file__)
+        fresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fresh)
+        assert fresh.OPTIONS == OPTIONS
 
 
 class TestCommandDefaults:
