@@ -15,8 +15,8 @@ unknown action strings are rejected rather than dropped, so schema drift
 surfaces early.
 
 A line in exactly the form :func:`event_to_json` writes is read by a
-compiled grammar, with no JSON decode and no dict; every other line goes
-through ``json``, and its rejections keep their messages.
+compiled grammar, with no JSON decode and no dict; any other line by one
+``json.loads`` call. A byte that is not UTF-8 rejects its line, by number.
 """
 
 import gc
@@ -223,15 +223,15 @@ def _number(record: dict, key: str, line_number: int) -> float | None:
     raise EventParseError(line_number, f"{key} must be a number")
 
 
-# `json.loads` skips leading whitespace, decodes, then requires only this
-# whitespace after the value; a line starting with its value needs the last two.
-_decode = json.JSONDecoder().raw_decode
-_skip_space = json.decoder.WHITESPACE.match
+# Files are read with errors="surrogateescape": a byte that is not UTF-8
+# becomes one of these code points, which decoded UTF-8 never holds.
+_BYTES = r"\udc80-\udcff"
+_ESCAPED_BYTE = re.compile(f"[{_BYTES}]").search
 
 # The whole lines `event_to_json` and `sample_to_json` write. `_S` is a string
-# with nothing to unescape; `_INT` and `_NUM` are JSON's numbers, spelt with
-# `[0-9]`: in a str pattern `\d` matches any Unicode digit, and `int("٥")` is 5.
-_CHARS = r'[^"\\\x00-\x1f]*'
+# with nothing to unescape and no escaped byte; `_INT` and `_NUM` are JSON's
+# numbers in `[0-9]`: in a str pattern `\d` matches any digit, and `int("٥")` is 5.
+_CHARS = rf'[^"\\\x00-\x1f{_BYTES}]*'
 _S = f'"({_CHARS})"'
 _INT = r"(-?(?:0|[1-9][0-9]*))"
 _NUM = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
@@ -251,25 +251,22 @@ def _literal(text: str) -> int | float:
 
 def _read_record(line: str, line_number: int, keys: frozenset, fields: itemgetter) -> tuple:
     """The checks of a line its grammar does not read (a canonical line skips
-    the decode), in this order: valid JSON, an object, no key outside ``keys``,
+    them), in this order: UTF-8, valid JSON, an object, no key outside ``keys``,
     each of ``fields`` present, string user and item, integer ts. Returns the
-    record and the values of ``fields``. A line that does not decode from its
-    first character, or has more than whitespace after its value, goes through
-    ``json.loads``, which accepts it or names the fault's column, as before. An
-    integer with more digits than the interpreter converts is invalid JSON too."""
+    record and the values of ``fields``. ``json.loads`` decodes the line once
+    and names a fault's column; an integer with more digits than the
+    interpreter converts is invalid JSON too."""
+    if not line.isascii() and (byte := _ESCAPED_BYTE(line)):
+        message = f"byte 0x{ord(byte[0]) - 0xDC00:02x} at column {byte.start() + 1}"
+        raise EventParseError(line_number, f"not UTF-8 ({message})")
     try:
-        record, end = _decode(line)
-    except ValueError:
-        end = None
-    if end is None or _skip_space(line, end).end() != len(line):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            message = f"{exc.msg.removesuffix(' at')} at column {exc.colno}"
-            raise EventParseError(line_number, f"invalid JSON ({message})") from exc
-        except ValueError as exc:  # the int digit limit (sys.get_int_max_str_digits)
-            message = "invalid JSON (number with too many digits)"
-            raise EventParseError(line_number, message) from exc
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        message = f"{exc.msg.removesuffix(' at')} at column {exc.colno}"
+        raise EventParseError(line_number, f"invalid JSON ({message})") from exc
+    except ValueError as exc:  # the int digit limit (sys.get_int_max_str_digits)
+        message = "invalid JSON (number with too many digits)"
+        raise EventParseError(line_number, message) from exc
     if type(record) is not dict:
         raise EventParseError(line_number, "record must be a JSON object")
     if not record.keys() <= keys:
@@ -429,7 +426,7 @@ def ingest_log(path: str | Path) -> IngestResult:
     rejected: list[tuple[int, str]] = []
     ids: dict[str, str] = {}  # one string per id for this read's events only
     with _paused_gc():
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for number, line in enumerate(handle, start=1):
                 if not line.strip(" \t\n\r"):  # JSON's whitespace only
                     continue

@@ -583,10 +583,10 @@ def write_samples(path: str | Path, samples: list[LabeledSample]) -> None:
 
 def read_samples(path: str | Path) -> list[LabeledSample]:
     """The samples of a file, skipping lines of JSON whitespace only; raises
-    :class:`EventParseError` at the first bad line. A line just as :func:`sample_to_json`
-    writes it skips the JSON decode; any other goes through ``json``, messages unchanged."""
+    :class:`EventParseError` at the first bad line, a byte that is not UTF-8 too.
+    A line as :func:`sample_to_json` writes it is not decoded; any other is, once."""
     ids: dict[str, str] = {}  # one string per id for this read's samples only
-    with open(path, encoding="utf-8") as handle, _paused_gc():
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle, _paused_gc():
         numbered = enumerate(handle, start=1)
         return [_parse_sample(line, k, ids) for k, line in numbered if line.strip(" \t\n\r")]
 

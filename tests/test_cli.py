@@ -94,6 +94,26 @@ class TestLabelCommand:
         ) in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == len(lines) - 1
 
+    def test_line_that_is_not_utf8_is_a_rejected_line(self, tmp_path, capsys):
+        """A byte that is not UTF-8 rejects its line, named, not the whole log."""
+        lines = [
+            json.dumps({"user": "u1", "item": f"i{k}", "ts": k, "platform": "ecommerce",
+                        "clicked": True}, separators=(",", ":")).encode()
+            for k in range(3)
+        ]
+        lines[1] = lines[1].replace(b'"i1"', b'"i\xff1"')
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "samples.jsonl"
+        assert run("label", "--events", events, "--out", out) == 0
+        assert (
+            "note: rejected 1 malformed lines (first: line 2: not UTF-8 "
+            "(byte 0xff at column 23))"
+        ) in capsys.readouterr().err
+        assert [json.loads(line)["item"] for line in out.read_text().splitlines()] == [
+            "i0", "i2"
+        ]
+
     def test_flags_override_defaults(self, tmp_path, event_file):
         out = tmp_path / "samples.jsonl"
         assert run(
@@ -510,12 +530,18 @@ class TestTrainCommand:
                 '{"user":"u1","item":"i1","ts":' + "5" * 5001 + ',"label":"P"}',
                 "line 2: invalid JSON (number with too many digits)",
             ),
+            # A byte that is not UTF-8: the file holds 0x80 where the record has U+DC80.
+            (
+                '{"user":"u\udc801","item":"i1","ts":5,"label":"P"}',
+                "line 2: not UTF-8 (byte 0x80 at column 11)",
+            ),
         ],
         ids=long_value_id,
     )
     def test_bad_sample_fails_naming_line(self, tmp_path, capsys, record, message):
         samples = tmp_path / "samples.jsonl"
-        samples.write_text('{"user":"u1","item":"i1","ts":1,"label":"N"}\n' + record + "\n")
+        text = '{"user":"u1","item":"i1","ts":1,"label":"N"}\n' + record + "\n"
+        samples.write_bytes(text.encode("utf-8", "surrogateescape"))
         model = tmp_path / "model.txt"
         assert run("train", "--samples", samples, "--out", model) == 1
         assert f"error: {message}" in capsys.readouterr().err
@@ -1005,22 +1031,23 @@ def declared_script():
     return project["scripts"]["tolrec"], project["version"]
 
 
-def run_declared_script(*argv):
-    """Run the declared `module:attr` in a fresh interpreter, as the wrapper
-    that pip writes for a console script does, importing `tolrec` from where
+def run_python(*args):
+    """Run a fresh interpreter with ``args``, importing `tolrec` from where
     this process found it."""
-    target, _ = declared_script()
-    module, attr = target.split(":")
-    code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     package_root = str(Path(tolrec.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")])
     )
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_declared_script(*argv):
+    """Run the declared `module:attr` in a fresh interpreter, as the wrapper
+    that pip writes for a console script does."""
+    target, _ = declared_script()
+    module, attr = target.split(":")
+    return run_python("-c", f"import sys; from {module} import {attr}; sys.exit({attr}())", *argv)
 
 
 class TestEntryPoint:
@@ -1030,6 +1057,12 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{version}\n"
         assert version == tolrec.__version__
+
+    def test_module_run_as_a_script(self):
+        """``python -m tolrec.cli`` runs the same ``main`` as the entry point."""
+        proc = run_python("-m", "tolrec.cli", "--version")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_declared_script("--version").stdout
 
     def test_public_names_resolve(self):
         """Every exported name exists, once, so a name that leaves the

@@ -341,6 +341,44 @@ def test_ingest_skips_blank_lines(tmp_path):
     assert result.rejected_count == 0
 
 
+#: Bytes that are not UTF-8, each with the byte a rejection names: an
+#: invalid start byte, a lone continuation byte, a sequence cut short, an
+#: encoded surrogate and an overlong form.
+NOT_UTF8 = {b"\xff": 0xFF, b"\x80": 0x80, b"\xc3": 0xC3, b"\xed\xb2\x80": 0xED, b"\xc0\xaf": 0xC0}
+
+
+@pytest.mark.parametrize("bad", NOT_UTF8, ids=bytes.hex)
+@pytest.mark.parametrize("where", ["in an id", "after the record"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_ingest_rejects_a_byte_that_is_not_utf8_naming_line(tmp_path, bad, where, newline):
+    """A line with such a byte is one rejection that names the line and the
+    byte's column, not a failed read; the lines around it read as ever."""
+    good = [
+        event_to_json(InteractionEvent(f"u{k}", "i1", k, Platform.ECOMMERCE, False))
+        for k in (1, 3)
+    ]
+    line = event_to_json(InteractionEvent("u2", "i1", 2, Platform.ECOMMERCE, False)).encode()
+    at = line.index(b'"i1"') + 2 if where == "in an id" else len(line)
+    path = tmp_path / "events.jsonl"
+    rows = [good[0].encode(), line[:at] + bad + line[at:], good[1].encode(), b""]
+    path.write_bytes(newline.encode().join(rows))
+    result = ingest_log(path)
+    assert result.rejected == [
+        (2, f"line 2: not UTF-8 (byte 0x{NOT_UTF8[bad]:02x} at column {at + 1})")
+    ]
+    assert result.events == [parse_event(text) for text in good]
+
+
+def test_ingest_reads_utf8_ids(tmp_path):
+    """Text that is UTF-8 beyond ASCII is no escaped byte: such an id is read."""
+    path = tmp_path / "events.jsonl"
+    line = '{"user":"ü","item":"視頻","ts":1,"platform":"ecommerce","clicked":false}'
+    path.write_text(line + "\n", encoding="utf-8")
+    result = ingest_log(path)
+    assert result.rejected == []
+    assert result.events == [InteractionEvent("ü", "視頻", 1, Platform.ECOMMERCE, False)]
+
+
 def test_time_window():
     window = TimeWindow(10, 20)
     assert window.contains(10)

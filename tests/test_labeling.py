@@ -796,13 +796,18 @@ class TestSampleSerialization:
                 '{"user":"u1","item":"i1","ts":' + "5" * 5001 + ',"label":"P"}',
                 "line 3: invalid JSON (number with too many digits)",
             ),
+            # A byte that is not UTF-8: the file holds 0xff where the record has U+DCFF.
+            (
+                '{"user":"u1","item":"i\udcff1","ts":5,"label":"P"}',
+                "line 3: not UTF-8 (byte 0xff at column 23)",
+            ),
         ],
         ids=long_value_id,
     )
     def test_read_rejects_naming_line(self, tmp_path, record, message):
         good = sample_to_json(LabeledSample("u1", "i1", 1, Label.NEGATIVE))
         path = tmp_path / "samples.jsonl"
-        path.write_text(f"{good}\n\n{record}\n{good}\n")
+        path.write_bytes(f"{good}\n\n{record}\n{good}\n".encode("utf-8", "surrogateescape"))
         with pytest.raises(EventParseError) as caught:
             read_samples(path)
         assert str(caught.value).startswith(message)

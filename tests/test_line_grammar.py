@@ -18,6 +18,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from tolrec.events import (
     EventParseError,
     EventValidationError,
     InteractionEvent,
+    Platform,
     _EVENT_LINE,
     _SAMPLE_LINE,
     _match_event,
@@ -36,6 +38,8 @@ from tolrec.events import (
 )
 from tolrec.fixtures import generate_fixture_events
 from tolrec.labeling import (
+    Label,
+    LabeledSample,
     LabelingConfig,
     LabelingMode,
     _match_sample,
@@ -129,26 +133,32 @@ def _expected_event(line: str):
 
 @contextmanager
 def _decoded(module):
-    """The lines that ``module`` hands to ``_read_record`` within the block."""
-    lines, decode = [], module._read_record
+    """The lines that ``module`` hands to ``_read_record`` within the block,
+    and the texts that ``json.loads`` decodes there."""
+    lines, loaded = [], []
+    decode, loads = module._read_record, json.loads
 
     def spy(line, *args):
         lines.append(line)
         return decode(line, *args)
 
-    module._read_record = spy
+    def loads_spy(text, *args, **kwargs):
+        loaded.append(text)
+        return loads(text, *args, **kwargs)
+
+    module._read_record, json.loads = spy, loads_spy
     try:
-        yield lines
+        yield lines, loaded
     finally:
-        module._read_record = decode
+        module._read_record, json.loads = decode, loads
 
 
 def _check_paths(parse, match, module, line: str, expected) -> None:
-    """``parse`` gives ``expected`` on ``line``, and decodes it with
-    ``json`` exactly when ``match`` does not read it."""
-    with _decoded(module) as decoded:
+    """``parse`` gives ``expected`` on ``line``, and decodes it with one
+    ``json.loads`` call exactly when ``match`` does not read it."""
+    with _decoded(module) as (decoded, loaded):
         assert _outcome(parse, line) == expected, line
-    assert decoded == ([] if match(line) else [line]), line
+    assert decoded == loaded == ([] if match(line) else [line]), line
 
 
 def _lines(written: str, match) -> list[str]:
@@ -177,6 +187,33 @@ def test_sample_lines_parse_as_the_reference(sample):
     for line in _lines(sample_to_json(sample), _match_sample):
         expected = _outcome(reference_parse_sample, line)
         _check_paths(parse_sample, _match_sample, labeling_module, line, expected)
+
+
+@pytest.mark.parametrize(
+    "parse, match, module, line",
+    [
+        (parse_event, _match_event, events_module, event_to_json(InteractionEvent(
+            "u1", "i1", 5, Platform.VIDEO, True, 2.5, 10, frozenset({"cart", "like"})
+        ))),
+        (parse_sample, _match_sample, labeling_module,
+         sample_to_json(LabeledSample("u1", "i1", 5, Label.TOLERANCE, 0.25))),
+    ],
+    ids=["event", "sample"],
+)
+def test_escaped_byte_is_rejected_before_the_decode(parse, match, module, line):
+    """A byte that is not UTF-8, which a file read gives as a code point in
+    U+DC80..U+DCFF, fails the grammar wherever it stands in a canonical line,
+    and the line is rejected naming its column with no ``json.loads`` call:
+    ``json`` would take the code point into an id."""
+    line += "\n"
+    for at in range(len(line) + 1):
+        for code in (0xDC80, 0xDCFF):
+            bad = line[:at] + chr(code) + line[at:]
+            assert match(bad) is None, bad
+            expected = f"line {LINE}: not UTF-8 (byte 0x{code - 0xDC00:02x} at column {at + 1})"
+            with _decoded(module) as (decoded, loaded):
+                assert _outcome(parse, bad) == (EventParseError, expected)
+            assert decoded == [bad] and loaded == [], bad
 
 
 #: Per key, values of the wrong type and the error that names the key.
